@@ -7,7 +7,6 @@ use crate::footprint::{self, Footprint};
 use crate::interval::Interval;
 use crate::stability::{self, StabilityVerdict};
 use sf_check::{Diagnostic, RuleId};
-use sf_kernels::rtm::RTM_PACKED_LANES;
 use sf_kernels::{
     AbstractOp2D, AbstractOp3D, AppId, Jacobi3D, Poisson2D, RtmParams, RtmStage, StencilSpec,
 };
@@ -87,7 +86,7 @@ pub fn analyze_rtm(params: RtmParams, cfg: &AbsintConfig) -> KernelAnalysis {
     let mut range = input;
     for s in 1..=4 {
         let stage = RtmStage::new(s, params);
-        let out = stage.update_packed::<Interval, _>(&|_, _, _| [input; RTM_PACKED_LANES]);
+        let out = stage.update_packed::<Interval, _>(&|_, _, _, _| input);
         for lane in out {
             range = range.hull(lane);
         }

@@ -696,3 +696,24 @@ fn faults_rollback_campaign_recovers_in_run() {
         assert_eq!(t.get("recovery").and_then(Value::as_str), Some("Rollback"), "{t:?}");
     }
 }
+
+#[test]
+fn profile_json_says_what_ran() {
+    let run = |args: &[&str]| {
+        let out = sfstencil().arg("profile").args(args).arg("--json").output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let doc: Value = serde_json::from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
+        let meta = doc.get("meta").expect("meta emitted");
+        let execution = meta.get("execution").and_then(Value::as_str).unwrap().to_string();
+        let degradations = meta.get("degradations").and_then(Value::as_array).unwrap().to_vec();
+        (execution, degradations)
+    };
+    let (execution, degradations) =
+        run(&["--app", "jacobi", "--mesh", "64x64x128", "--iters", "40", "--devices", "2"]);
+    assert_eq!(execution, "schedule-only");
+    assert_eq!(degradations.len(), 1, "{degradations:?}");
+    let (execution, degradations) =
+        run(&["--app", "poisson", "--mesh", "200x100", "--iters", "100"]);
+    assert_eq!(execution, "behavioral");
+    assert!(degradations.is_empty(), "{degradations:?}");
+}

@@ -453,3 +453,39 @@ fn rollback_recovery_3d_is_engine_invariant() {
     let expect = reference::run_3d(&k, &input.mesh(0), 6);
     assert!(norms::bit_equal(o_s.mesh(0).as_slice(), expect.as_slice()));
 }
+
+#[test]
+fn rtm_lane_packs_match_scalar_and_reference() {
+    use sf_kernels::rtm::{self, RtmState};
+    use sf_kernels::{RtmParams, RtmStage, StencilSpec};
+    use sf_mesh::Mesh3D;
+    let dev = FpgaDevice::u280();
+    let stages = RtmStage::pipeline(RtmParams::default());
+    let (ny, nz, niter) = (12, 12, 2);
+    // Interiors of 4/9/13/24/29 cells: no pack, one pack + 1, one pack + 5,
+    // three exact packs, three packs + 5.
+    for nx in [12usize, 17, 21, 32, 37] {
+        // Every state component, ρ and μ differ per cell, so a swapped or
+        // mis-strided component load cannot cancel out.
+        let y = Mesh3D::<RtmState>::random(nx, ny, nz, INPUT_SEED, -1.0, 1.0);
+        let rho = Mesh3D::<f32>::random(nx, ny, nz, INPUT_SEED + 1, 0.5, 1.0);
+        let mu = Mesh3D::<f32>::random(nx, ny, nz, INPUT_SEED + 2, 0.0, 0.05);
+        let packed = rtm::pack(&y, &rho, &mu);
+        let input = Batch3D::from_meshes(std::slice::from_ref(&packed));
+        let wl = Workload::D3 { nx, ny, nz, batch: 1 };
+        let ds = synthesize(&dev, &StencilSpec::rtm(), 1, 1, ExecMode::Baseline, MemKind::Hbm, &wl)
+            .unwrap();
+        let golden = reference::run_stages_3d(&stages, &packed, niter);
+        let (scalar_out, scalar_rep) = exec3d::simulate_3d(&dev, &ds, &stages, &input, niter);
+        let (fast_out, fast_rep) = fast::simulate_3d_fast(&dev, &ds, &stages, &input, niter);
+        assert!(
+            norms::bit_equal(scalar_out.as_slice(), golden.as_slice()),
+            "rtm nx={nx}: scalar differs from reference"
+        );
+        assert!(
+            norms::bit_equal(fast_out.as_slice(), scalar_out.as_slice()),
+            "rtm nx={nx}: fast differs from scalar"
+        );
+        assert_eq!(fast_rep.total_cycles, scalar_rep.total_cycles, "rtm nx={nx}");
+    }
+}

@@ -209,6 +209,14 @@ impl Workflow {
         let tr = trace::explain(dev, &design, wl, niter);
         let degradations =
             if behavioral { Vec::new() } else { vec![Degradation::ScheduleOnlyProfile] };
+        // What ran, in the JSON itself (the engine is deliberately left out:
+        // both engines must produce byte-identical profiles).
+        let execution = if behavioral { "behavioral" } else { "schedule-only" };
+        rec.set_meta("execution", Value::String(execution.into()));
+        rec.set_meta(
+            "degradations",
+            Value::Array(degradations.iter().map(|d| Value::String(d.to_string())).collect()),
+        );
         Ok(ProfileResult {
             design,
             workload: *wl,

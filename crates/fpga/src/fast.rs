@@ -10,7 +10,10 @@
 //! instantiating the same generic update at the pack type replays the
 //! identical per-cell floating-point operation sequence — no reassociation,
 //! no FMA contraction, just `LANES` independent IEEE streams evaluated side
-//! by side (see [`sf_kernels::lanes`]). Boundary cells and the ragged tail
+//! by side (see [`sf_kernels::lanes`]). The kernel reads its neighbourhood
+//! one component at a time through `LaneElement::gather_lane`, so a
+//! many-component cell loads only the components the update uses rather
+//! than transposing whole cells. Boundary cells and the ragged tail
 //! of each row go through the kernel's scalar `apply`/`on_boundary`
 //! methods. The result is bit-identical to the scalar executors (and hence
 //! to the golden reference) for every mesh shape, batch size and stencil.
@@ -102,8 +105,8 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
             let hi = nx.saturating_sub(r);
             let mut x = r;
             while x + LANES <= hi {
-                let at = |dx: i32, dy: i32| {
-                    T::gather(rows[(dy + r as i32) as usize], (x as i32 + dx) as usize)
+                let at = |dx: i32, dy: i32, c: usize| {
+                    T::gather_lane(rows[(dy + r as i32) as usize], (x as i32 + dx) as usize, c)
                 };
                 let lanes = self.k.apply_lanes(&at);
                 let mut buf = [T::default(); LANES];
@@ -213,10 +216,10 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
                 let hi = nx.saturating_sub(r);
                 let mut x = r;
                 while x + LANES <= hi {
-                    let at = |dx: i32, dy: i32, dz: i32| {
+                    let at = |dx: i32, dy: i32, dz: i32, c: usize| {
                         let plane = planes[(dz + r as i32) as usize];
                         let idx = ((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize;
-                        T::gather(plane, idx)
+                        T::gather_lane(plane, idx, c)
                     };
                     let lanes = self.k.apply_lanes(&at);
                     let mut buf = [T::default(); LANES];

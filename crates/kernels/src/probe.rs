@@ -61,9 +61,9 @@ where
     G: Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES],
 {
     let reads = RefCell::new(BTreeSet::new());
-    let at = |dx: i32, dy: i32, dz: i32| {
+    let at = |dx: i32, dy: i32, dz: i32, c: usize| {
         reads.borrow_mut().insert((dx, dy, dz));
-        gen(dx, dy, dz)
+        gen(dx, dy, dz)[c]
     };
     let v = stage.update_packed(&at);
     (v, reads.into_inner())

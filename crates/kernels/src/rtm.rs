@@ -144,16 +144,17 @@ pub fn f_pml<F: Fn(i32, i32, i32) -> RtmPacked>(
     mu: f32,
     prm: &RtmParams,
 ) -> [f32; 6] {
-    f_pml_abs::<f32, _>(&|dx, dy, dz| at(dx, dy, dz).0, rho, mu, prm)
+    f_pml_abs::<f32, _>(&|dx, dy, dz, c| at(dx, dy, dz).0[c], rho, mu, prm)
 }
 
 /// [`f_pml`] written once, generically over the value domain (see
 /// [`crate::domain`]): the `f32` instantiation *is* the concrete kernel; an
-/// abstract domain sees exactly the operations the datapath executes. The
+/// abstract domain sees exactly the operations the datapath executes.
+/// `at(dx, dy, dz, c)` reads packed component `c` at an offset. The
 /// `3·w0` center weight is a compile-time constant and folds before entering
 /// the domain — one counted multiply, as in the synthesized pipeline.
 #[inline]
-pub fn f_pml_abs<V: AbstractValue, F: Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES]>(
+pub fn f_pml_abs<V: AbstractValue, F: Fn(i32, i32, i32, usize) -> V>(
     at: &F,
     rho: V,
     mu: V,
@@ -161,18 +162,18 @@ pub fn f_pml_abs<V: AbstractValue, F: Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES]
 ) -> [V; RTM_LANES] {
     #[inline(always)]
     fn t<V: AbstractValue>(
-        at: &impl Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES],
+        at: &impl Fn(i32, i32, i32, usize) -> V,
         dx: i32,
         dy: i32,
         dz: i32,
         c: usize,
     ) -> V {
-        at(dx, dy, dz)[packed::T + c]
+        at(dx, dy, dz, packed::T + c)
     }
 
     // 25-point star Laplacian of component `c`.
     #[inline(always)]
-    fn lap8<V: AbstractValue>(at: &impl Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES], c: usize) -> V {
+    fn lap8<V: AbstractValue>(at: &impl Fn(i32, i32, i32, usize) -> V, c: usize) -> V {
         let mut acc = V::constant(3.0 * W2[0]) * t(at, 0, 0, 0, c);
         for d in 1..=4i32 {
             acc = acc + V::constant(W2[d as usize]) * (t(at, d, 0, 0, c) + t(at, -d, 0, 0, c));
@@ -190,11 +191,7 @@ pub fn f_pml_abs<V: AbstractValue, F: Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES]
     // The d = 1 term seeds the accumulator: 4 muls + 7 adds, matching
     // [`f_pml_op_count`].
     #[inline(always)]
-    fn d1<V: AbstractValue>(
-        at: &impl Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES],
-        c: usize,
-        axis: usize,
-    ) -> V {
+    fn d1<V: AbstractValue>(at: &impl Fn(i32, i32, i32, usize) -> V, c: usize, axis: usize) -> V {
         let off = |d: i32| -> (i32, i32, i32) {
             match axis {
                 0 => (d, 0, 0),
@@ -214,13 +211,12 @@ pub fn f_pml_abs<V: AbstractValue, F: Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES]
         acc
     }
 
-    let ctr = at(0, 0, 0);
-    let p = ctr[packed::T + lane::P];
-    let q = ctr[packed::T + lane::Q];
-    let vx = ctr[packed::T + lane::VX];
-    let vy = ctr[packed::T + lane::VY];
-    let vz = ctr[packed::T + lane::VZ];
-    let psi = ctr[packed::T + lane::PSI];
+    let p = t(at, 0, 0, 0, lane::P);
+    let q = t(at, 0, 0, 0, lane::Q);
+    let vx = t(at, 0, 0, 0, lane::VX);
+    let vy = t(at, 0, 0, 0, lane::VY);
+    let vz = t(at, 0, 0, 0, lane::VZ);
+    let psi = t(at, 0, 0, 0, lane::PSI);
 
     let lp = lap8(at, lane::P);
     let lq = lap8(at, lane::Q);
@@ -291,15 +287,16 @@ impl RtmStage {
     /// The single copy of the fused-stage math, generic over the value
     /// domain: `K = dt·f_pml(T)`, then `T' = Y + a·K`, `Yacc' = Yacc + b·K`
     /// (stage 4 finalizes `Y_new = Yacc + b₄·K` into all three slots).
+    /// `at(dx, dy, dz, c)` reads packed component `c` at an offset.
     /// [`StencilOp3D::apply`] delegates here at `V = f32`.
     #[inline]
     #[allow(clippy::needless_range_loop)] // `c` indexes three parallel lane sections
     pub fn update_packed<V, F>(&self, at: &F) -> [V; RTM_PACKED_LANES]
     where
         V: AbstractValue,
-        F: Fn(i32, i32, i32) -> [V; RTM_PACKED_LANES],
+        F: Fn(i32, i32, i32, usize) -> V,
     {
-        let ctr = at(0, 0, 0);
+        let ctr: [V; RTM_PACKED_LANES] = std::array::from_fn(|c| at(0, 0, 0, c));
         let rho = ctr[packed::RHO];
         let mu = ctr[packed::MU];
         let du = f_pml_abs(at, rho, mu, &self.params);
@@ -336,7 +333,7 @@ impl StencilOp3D<RtmPacked> for RtmStage {
 
     #[inline]
     fn apply<F: Fn(i32, i32, i32) -> RtmPacked>(&self, at: F) -> RtmPacked {
-        VecN(self.update_packed::<f32, _>(&|dx, dy, dz| at(dx, dy, dz).0))
+        VecN(self.update_packed::<f32, _>(&|dx, dy, dz, c| at(dx, dy, dz).0[c]))
     }
 
     /// Boundary cells take `K = 0`: stages 1–3 emit `T' = Y`, stage 4 emits
