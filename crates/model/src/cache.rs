@@ -1,21 +1,25 @@
-//! Process-wide memoized analytic-model results.
+//! Memoized analytic-model results.
 //!
 //! Every consumer of the model re-derives the same pure functions: the DSE
 //! sweep predicts hundreds of `(V, p, mode)` points, `Workflow::preflight`
 //! re-checks the design the DSE just check-filtered, and repeated
 //! `sfstencil` subcommands in one process (or one benchmark) recompute
 //! identical eq. 2–15 plans. Both derivations are pure in
-//! (device, design, workload), so they memoize safely behind a pair of
-//! process-wide [`sf_par::Memo`] caches keyed on a deterministic `Debug`
-//! fingerprint of the inputs.
+//! (device, design, workload), so they memoize safely behind a
+//! [`PlanCache`]: a pair of [`sf_par::Memo`] caches keyed on a
+//! deterministic `Debug` fingerprint of the inputs.
+//!
+//! A [`PlanCache`] is an owned value. The free functions
+//! ([`predict_cached`], [`check_cached`], the stats accessors and
+//! [`clear_caches`]) go through one process-wide instance,
+//! [`PlanCache::global`]; callers that need cache statistics no other
+//! thread can disturb (tests, cold-cache measurements) own a cache of
+//! their own and pass it to [`crate::dse::explore_cached`].
 //!
 //! The caches are thread-safe (the parallel DSE hits them from worker
 //! threads) and deterministic: a cached value is by definition the value
 //! the underlying function returns, so cache hits can never change a
-//! result, only skip recomputation. [`prediction_cache_stats`] /
-//! [`check_cache_stats`] expose hit/miss counters for benchmarks and
-//! diagnostics; [`clear_caches`] exists for tests that need cold-cache
-//! timings.
+//! result, only skip recomputation.
 
 use crate::error::ModelError;
 use crate::predict::{predict, Prediction, PredictionLevel};
@@ -25,20 +29,74 @@ use sf_fpga::FpgaDevice;
 use sf_par::{Memo, MemoStats};
 use std::sync::OnceLock;
 
-fn prediction_memo() -> &'static Memo<Prediction> {
-    static MEMO: OnceLock<Memo<Prediction>> = OnceLock::new();
-    MEMO.get_or_init(Memo::new)
+/// Prediction and check-report memos for the analytic model.
+#[derive(Debug)]
+pub struct PlanCache {
+    predictions: Memo<Prediction>,
+    checks: Memo<CheckReport>,
 }
 
-fn check_memo() -> &'static Memo<CheckReport> {
-    static MEMO: OnceLock<Memo<CheckReport>> = OnceLock::new();
-    MEMO.get_or_init(Memo::new)
+impl Default for PlanCache {
+    fn default() -> Self {
+        PlanCache::new()
+    }
 }
 
 /// Deterministic fingerprint of the device: the `Debug` rendering covers
 /// every field, so two devices collide only when they are identical.
 fn device_key(dev: &FpgaDevice) -> String {
     format!("{dev:?}")
+}
+
+impl PlanCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        PlanCache { predictions: Memo::new(), checks: Memo::new() }
+    }
+
+    /// The process-wide cache behind the free functions of this module.
+    pub fn global() -> &'static PlanCache {
+        static CACHE: OnceLock<PlanCache> = OnceLock::new();
+        CACHE.get_or_init(PlanCache::new)
+    }
+
+    /// [`predict`] through this cache.
+    ///
+    /// Keyed on (device, design, workload, iterations, level); errors are
+    /// propagated and never cached.
+    pub fn predict(
+        &self,
+        dev: &FpgaDevice,
+        design: &StencilDesign,
+        wl: &Workload,
+        niter: u64,
+        level: PredictionLevel,
+    ) -> Result<Prediction, ModelError> {
+        let key = format!("predict|{}|{design:?}|{wl:?}|{niter}|{level:?}", device_key(dev));
+        self.predictions.try_get_or_insert_with(&key, || predict(dev, design, wl, niter, level))
+    }
+
+    /// [`sf_check::check`] through this cache.
+    pub fn check(&self, dev: &FpgaDevice, design: &sf_check::Design) -> CheckReport {
+        let key = format!("check|{}|{design:?}", device_key(dev));
+        self.checks.get_or_insert_with(&key, || sf_check::check(dev, design))
+    }
+
+    /// Hit/miss/entry counters of the prediction memo.
+    pub fn prediction_stats(&self) -> MemoStats {
+        self.predictions.stats()
+    }
+
+    /// Hit/miss/entry counters of the check-report memo.
+    pub fn check_stats(&self) -> MemoStats {
+        self.checks.stats()
+    }
+
+    /// Drop every cached result.
+    pub fn clear(&self) {
+        self.predictions.clear();
+        self.checks.clear();
+    }
 }
 
 /// [`predict`] behind the process-wide prediction cache.
@@ -52,8 +110,7 @@ pub fn predict_cached(
     niter: u64,
     level: PredictionLevel,
 ) -> Result<Prediction, ModelError> {
-    let key = format!("predict|{}|{design:?}|{wl:?}|{niter}|{level:?}", device_key(dev));
-    prediction_memo().try_get_or_insert_with(&key, || predict(dev, design, wl, niter, level))
+    PlanCache::global().predict(dev, design, wl, niter, level)
 }
 
 /// [`sf_check::check`] behind the process-wide check-report cache.
@@ -61,24 +118,22 @@ pub fn predict_cached(
 /// The DSE pruning filter and `Workflow::preflight` check the same
 /// configurations — a preflight of the DSE's winner is a guaranteed hit.
 pub fn check_cached(dev: &FpgaDevice, design: &sf_check::Design) -> CheckReport {
-    let key = format!("check|{}|{design:?}", device_key(dev));
-    check_memo().get_or_insert_with(&key, || sf_check::check(dev, design))
+    PlanCache::global().check(dev, design)
 }
 
-/// Hit/miss/entry counters of the prediction cache.
+/// Hit/miss/entry counters of the process-wide prediction cache.
 pub fn prediction_cache_stats() -> MemoStats {
-    prediction_memo().stats()
+    PlanCache::global().prediction_stats()
 }
 
-/// Hit/miss/entry counters of the check-report cache.
+/// Hit/miss/entry counters of the process-wide check-report cache.
 pub fn check_cache_stats() -> MemoStats {
-    check_memo().stats()
+    PlanCache::global().check_stats()
 }
 
-/// Drop every cached model result (tests and cold-cache benchmarks).
+/// Drop every process-wide cached model result (cold-cache benchmarks).
 pub fn clear_caches() {
-    prediction_memo().clear();
-    check_memo().clear();
+    PlanCache::global().clear();
 }
 
 #[cfg(test)]

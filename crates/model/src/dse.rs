@@ -17,7 +17,7 @@
 //! designs out of the ranking entirely.
 
 use crate::blocking;
-use crate::cache::{check_cached, predict_cached};
+use crate::cache::PlanCache;
 use crate::error::ModelError;
 use crate::predict::{Prediction, PredictionLevel};
 use serde::{Deserialize, Serialize};
@@ -111,8 +111,8 @@ pub fn explore(
 /// `jobs` threads via [`sf_par::par_map`], then re-assembled in sweep
 /// order before ranking — so the returned vector is identical for every
 /// `jobs` value, including the tie-break order among equal runtimes.
-/// Predictions and check reports go through the process-wide caches in
-/// [`crate::cache`], so a repeated sweep (or a following
+/// Predictions and check reports go through the process-wide
+/// [`PlanCache::global`], so a repeated sweep (or a following
 /// `Workflow::preflight`) is mostly cache hits.
 pub fn explore_jobs(
     dev: &FpgaDevice,
@@ -121,6 +121,20 @@ pub fn explore_jobs(
     niter: u64,
     opts: &DseOptions,
     jobs: usize,
+) -> Result<Vec<Candidate>, ModelError> {
+    explore_cached(dev, spec, wl, niter, opts, jobs, PlanCache::global())
+}
+
+/// [`explore_jobs`] with predictions and check reports memoized in `cache`
+/// instead of the process-wide cache.
+pub fn explore_cached(
+    dev: &FpgaDevice,
+    spec: &StencilSpec,
+    wl: &Workload,
+    niter: u64,
+    opts: &DseOptions,
+    jobs: usize,
+    cache: &PlanCache,
 ) -> Result<Vec<Candidate>, ModelError> {
     if opts.v_candidates.is_empty() {
         return Err(ModelError::invalid("v_candidates", "sweep must name at least one V"));
@@ -190,11 +204,13 @@ pub fn explore_jobs(
     // Evaluate every point independently; results come back in sweep order.
     let evaluated: Vec<Result<Option<Candidate>, ModelError>> =
         sf_par::par_map(jobs, configs, |_, (v, p, mode, devices)| {
-            if !statically_legal(dev, spec, v, p, mode, opts.mem, wl, devices) {
+            if !statically_legal(cache, dev, spec, v, p, mode, opts.mem, wl, devices) {
                 return Ok(None);
             }
             match synthesize(dev, spec, v, p, mode, opts.mem, wl) {
-                Ok(design) => candidate(dev, design, wl, niter, devices, opts.link).map(Some),
+                Ok(design) => {
+                    candidate(cache, dev, design, wl, niter, devices, opts.link).map(Some)
+                }
                 Err(_) => Ok(None), // infeasible: silently skipped, as before
             }
         });
@@ -220,6 +236,7 @@ pub fn explore_jobs(
 /// out-number the mesh's outermost units) never reach the cost model.
 #[allow(clippy::too_many_arguments)]
 fn statically_legal(
+    cache: &PlanCache,
     dev: &FpgaDevice,
     spec: &StencilSpec,
     v: usize,
@@ -229,11 +246,13 @@ fn statically_legal(
     wl: &Workload,
     devices: usize,
 ) -> bool {
-    !check_cached(dev, &sf_check::Design::new(*spec, v, p, mode, mem, *wl).with_devices(devices))
+    !cache
+        .check(dev, &sf_check::Design::new(*spec, v, p, mode, mem, *wl).with_devices(devices))
         .has_errors()
 }
 
 fn candidate(
+    cache: &PlanCache,
     dev: &FpgaDevice,
     design: StencilDesign,
     wl: &Workload,
@@ -249,7 +268,7 @@ fn candidate(
         let pr = crate::predict::predict_sharded(dev, &design, wl, niter, &cfg)?;
         (pr, pr.runtime_s)
     } else {
-        let pr = predict_cached(dev, &design, wl, niter, PredictionLevel::Extended)?;
+        let pr = cache.predict(dev, &design, wl, niter, PredictionLevel::Extended)?;
         (pr, sf_fpga::cycles::plan(dev, &design, wl, niter).runtime_s)
     };
     if !planned_runtime_s.is_finite() {
@@ -511,10 +530,13 @@ mod tests {
         let wl = Workload::D2 { nx: 180, ny: 180, batch: 1 };
         let spec = StencilSpec::poisson();
         let opts = DseOptions { allow_tiling: false, ..DseOptions::default() };
-        let first = explore_jobs(&d, &spec, &wl, 500, &opts, 1).unwrap();
-        let before = crate::cache::prediction_cache_stats();
-        let second = explore_jobs(&d, &spec, &wl, 500, &opts, 1).unwrap();
-        let after = crate::cache::prediction_cache_stats();
+        // An owned cache: sibling tests sweep concurrently, and their
+        // inserts must not show up in this sweep's counters.
+        let cache = PlanCache::new();
+        let first = explore_cached(&d, &spec, &wl, 500, &opts, 1, &cache).unwrap();
+        let before = cache.prediction_stats();
+        let second = explore_cached(&d, &spec, &wl, 500, &opts, 1, &cache).unwrap();
+        let after = cache.prediction_stats();
         assert_eq!(first, second);
         assert_eq!(
             after.entries, before.entries,

@@ -47,8 +47,8 @@ pub mod predict;
 pub mod verify;
 
 pub use accuracy::{accuracy_suite, AccuracyCase, AccuracyStats};
-pub use cache::{check_cached, clear_caches, predict_cached};
-pub use dse::{explore, explore_jobs, Candidate, DseOptions};
+pub use cache::{check_cached, clear_caches, predict_cached, PlanCache};
+pub use dse::{explore, explore_cached, explore_jobs, Candidate, DseOptions};
 pub use error::ModelError;
 pub use feasibility::FeasibilityReport;
 pub use predict::{predict, predict_sharded, Prediction, PredictionLevel};
