@@ -455,6 +455,58 @@ fn rollback_recovery_3d_is_engine_invariant() {
 }
 
 #[test]
+fn rollback_recovery_rtm_is_engine_invariant() {
+    use sf_fpga::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
+    use sf_kernels::rtm::{self, RtmState};
+    use sf_kernels::{RtmParams, RtmStage, StencilSpec};
+    use sf_mesh::Mesh3D;
+    let dev = FpgaDevice::u280();
+    let (nx, ny, nz, niter) = (13, 11, 10, 2);
+    let wl = Workload::D3 { nx, ny, nz, batch: 1 };
+    let ds =
+        synthesize(&dev, &StencilSpec::rtm(), 1, 1, ExecMode::Baseline, MemKind::Hbm, &wl).unwrap();
+    let stages = RtmStage::pipeline(RtmParams::default());
+    let y = Mesh3D::<RtmState>::random(nx, ny, nz, INPUT_SEED, -1.0, 1.0);
+    let rho = Mesh3D::<f32>::random(nx, ny, nz, INPUT_SEED + 1, 0.5, 1.0);
+    let mu = Mesh3D::<f32>::random(nx, ny, nz, INPUT_SEED + 2, 0.0, 0.05);
+    let packed = rtm::pack(&y, &rho, &mu);
+    let input = Batch3D::from_meshes(std::slice::from_ref(&packed));
+    // The flip lands in the first plane, which is boundary for the radius-4
+    // stages; a boundary cell's `T` and `Y` lanes are overwritten by the
+    // pipeline (masked faults), so the seed is one whose flip hits a `Yacc`
+    // exponent bit that reaches the output.
+    let plan = FaultPlan::single(1, FaultKind::BitFlip, 1_000_000);
+    let run = |engine: ExecEngine| {
+        let mut inj = FaultInjector::new(plan);
+        let mut rec = Recorder::enabled(ds.freq_mhz());
+        let out = fast::simulate_3d_recoverable_exec(
+            engine,
+            &dev,
+            &ds,
+            &stages,
+            &input,
+            niter,
+            &mut inj,
+            &RetryPolicy::default(),
+            &rollback_cfg(1),
+            &mut rec,
+        )
+        .unwrap();
+        (out, metrics::to_metrics_json(&rec))
+    };
+    let ((o_s, rep_s, st_s), m_s) = run(ExecEngine::Scalar);
+    let ((o_f, rep_f, st_f), m_f) = run(ExecEngine::Fast);
+    assert!(st_s.sdc_detected > 0, "the window bit-flip must trip the ABFT check");
+    assert!(st_s.rollbacks > 0, "a detected fault must be rolled back");
+    assert!(norms::bit_equal(o_s.as_slice(), o_f.as_slice()));
+    assert_eq!(st_s, st_f);
+    assert_eq!(rep_s.total_cycles, rep_f.total_cycles);
+    assert_eq!(m_s, m_f, "recovery telemetry must be byte-identical across engines");
+    let expect = reference::run_stages_3d(&stages, &packed, niter);
+    assert!(norms::bit_equal(o_s.mesh(0).as_slice(), expect.as_slice()));
+}
+
+#[test]
 fn rtm_lane_packs_match_scalar_and_reference() {
     use sf_kernels::rtm::{self, RtmState};
     use sf_kernels::{RtmParams, RtmStage, StencilSpec};

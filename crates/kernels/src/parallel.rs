@@ -13,24 +13,20 @@
 
 use crate::op2d::StencilOp2D;
 use crate::op3d::StencilOp3D;
+use crate::reference;
 use crate::rtm::{self, RtmParams, RtmStage, RtmState};
 use rayon::prelude::*;
 use sf_mesh::{Batch2D, Batch3D, Element, Mesh2D, Mesh3D};
 
-/// One parallel 2D stage (rows distributed over the Rayon pool).
+/// One parallel 2D stage (rows distributed over the Rayon pool, each
+/// computed by the reference's row body).
 pub fn par_step_2d<T: Element, K: StencilOp2D<T>>(k: &K, input: &Mesh2D<T>) -> Mesh2D<T> {
-    let (nx, ny) = (input.nx(), input.ny());
-    let r = k.radius();
-    let mut out = Mesh2D::<T>::zeros(nx, ny);
-    out.as_mut_slice().par_chunks_mut(nx).enumerate().for_each(|(y, row)| {
-        for (x, cell) in row.iter_mut().enumerate() {
-            *cell = if input.is_interior(x, y, r) {
-                k.apply(|dx, dy| input.get((x as i32 + dx) as usize, (y as i32 + dy) as usize))
-            } else {
-                k.on_boundary(input.get(x, y))
-            };
-        }
-    });
+    let nx = input.nx();
+    let mut out = Mesh2D::<T>::zeros(nx, input.ny());
+    out.as_mut_slice()
+        .par_chunks_mut(nx)
+        .enumerate()
+        .for_each(|(y, row)| reference::step_row_2d(k, input, y, row));
     out
 }
 
@@ -49,26 +45,12 @@ pub fn par_run_2d<T: Element, K: StencilOp2D<T>>(
 
 /// One parallel 3D stage (planes × rows distributed over the pool).
 pub fn par_step_3d<T: Element, K: StencilOp3D<T>>(k: &K, input: &Mesh3D<T>) -> Mesh3D<T> {
-    let (nx, ny, nz) = (input.nx(), input.ny(), input.nz());
-    let r = k.radius();
-    let mut out = Mesh3D::<T>::zeros(nx, ny, nz);
-    out.as_mut_slice().par_chunks_mut(nx).enumerate().for_each(|(row_idx, row)| {
-        let z = row_idx / ny;
-        let y = row_idx % ny;
-        for (x, cell) in row.iter_mut().enumerate() {
-            *cell = if input.is_interior(x, y, z, r) {
-                k.apply(|dx, dy, dz| {
-                    input.get(
-                        (x as i32 + dx) as usize,
-                        (y as i32 + dy) as usize,
-                        (z as i32 + dz) as usize,
-                    )
-                })
-            } else {
-                k.on_boundary(input.get(x, y, z))
-            };
-        }
-    });
+    let nx = input.nx();
+    let mut out = Mesh3D::<T>::zeros(nx, input.ny(), input.nz());
+    out.as_mut_slice()
+        .par_chunks_mut(nx)
+        .enumerate()
+        .for_each(|(row_idx, row)| reference::step_row_3d(k, input, row_idx, row));
     out
 }
 
