@@ -107,6 +107,16 @@ pub fn design_row_cycles(
     )
 }
 
+/// Cycles for one whole-mesh stream unit of `wl`: a row in 2D, a plane of
+/// `ny` rows in 3D, at the design's row rate.
+pub fn unit_cycles(dev: &FpgaDevice, design: &StencilDesign, wl: &Workload) -> u64 {
+    let rows = match *wl {
+        Workload::D2 { .. } => 1,
+        Workload::D3 { ny, .. } => ny as u64,
+    };
+    design_row_cycles(dev, design, wl.nx(), wl.nx()) * rows
+}
+
 /// Plan a full solve.
 ///
 /// # Panics

@@ -123,6 +123,23 @@ impl Workload {
             Workload::D2 { nx, .. } | Workload::D3 { nx, .. } => nx,
         }
     }
+
+    /// The streamed unit of one mesh as `(cells per unit, units per
+    /// mesh)`: rows of `nx` cells in 2D, planes of `nx × ny` cells in 3D.
+    pub fn stream_units(&self) -> (usize, usize) {
+        match *self {
+            Workload::D2 { nx, ny, .. } => (nx, ny),
+            Workload::D3 { nx, ny, nz, .. } => (nx * ny, nz),
+        }
+    }
+
+    /// The same mesh shape with batch factor `b`.
+    pub fn with_batch(&self, b: usize) -> Workload {
+        match *self {
+            Workload::D2 { nx, ny, .. } => Workload::D2 { nx, ny, batch: b },
+            Workload::D3 { nx, ny, nz, .. } => Workload::D3 { nx, ny, nz, batch: b },
+        }
+    }
 }
 
 /// Why synthesis rejected a configuration.

@@ -5,8 +5,13 @@
 //! the watchdog's structured diagnosis, an exhausted AXI retry budget becomes
 //! [`ExecError::AxiExhausted`], and configuration mismatches that the plain
 //! executors assert on become [`ExecError::ShapeMismatch`].
+//!
+//! [`check_run`] is the one validation of a run's inputs: the fault-aware
+//! executors return its error, the plain executors assert on it.
 
+use crate::design::{ExecMode, StencilDesign, Workload};
 use sf_faults::WatchdogTrip;
+use sf_telemetry::Recorder;
 
 /// Error from a resilient executor run.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,5 +74,64 @@ impl std::error::Error for ExecError {}
 impl From<WatchdogTrip> for ExecError {
     fn from(t: WatchdogTrip) -> Self {
         ExecError::Deadlock(t)
+    }
+}
+
+impl ExecError {
+    /// Fold `rec`'s stall attribution into a deadlock diagnosis; every
+    /// other error passes through unchanged.
+    pub fn with_stalls(self, rec: &Recorder) -> Self {
+        match self {
+            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
+            other => other,
+        }
+    }
+}
+
+/// Validate a run of `niter` iterations of `stages` kernels over `wl`
+/// against its design: `niter` must be positive, `stages` must match the
+/// spec, the mode must stream whole meshes (`Baseline`/`Batched`, or the
+/// tiled mode of `wl`'s dimension when `tiled_ok`), and the batch must be
+/// the one the mode runs.
+///
+/// # Errors
+/// [`ExecError::Unsupported`] for a mode the run cannot stream,
+/// [`ExecError::ShapeMismatch`] for everything else.
+pub fn check_run(
+    design: &StencilDesign,
+    wl: &Workload,
+    stages: usize,
+    niter: usize,
+    tiled_ok: bool,
+) -> Result<(), ExecError> {
+    let shape = |detail: String| Err(ExecError::ShapeMismatch { detail });
+    if niter == 0 {
+        return shape("niter must be positive".to_string());
+    }
+    if stages != design.spec.stages {
+        return shape(format!(
+            "design expects {} stages per iteration, got {stages}",
+            design.spec.stages
+        ));
+    }
+    let tiled_here = matches!(
+        (design.mode, wl),
+        (ExecMode::Tiled1D { .. }, Workload::D2 { .. })
+            | (ExecMode::Tiled2D { .. }, Workload::D3 { .. })
+    );
+    let b = wl.batch();
+    match design.mode {
+        ExecMode::Batched { b: db } if b != db => {
+            shape(format!("batch size mismatch: design batch {db} fed batch {b}"))
+        }
+        ExecMode::Batched { .. } => Ok(()),
+        ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. } if !(tiled_ok && tiled_here) => {
+            Err(ExecError::Unsupported {
+                detail: "this run streams whole meshes: it needs a Baseline or Batched design"
+                    .to_string(),
+            })
+        }
+        _ if b != 1 => shape(format!("this design runs one mesh, got batch {b}")),
+        _ => Ok(()),
     }
 }

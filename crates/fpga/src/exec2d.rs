@@ -3,41 +3,26 @@
 //! reference) and a [`SimReport`].
 //!
 //! * [`simulate_2d`] — streams every cell through the window-buffer chain
-//!   (use for validation-scale workloads).
-//! * [`estimate_2d`] — timing/power only, for paper-scale workloads
-//!   (60 000 iterations on 400×400 meshes would be pointless to stream
-//!   cell by cell — the cycle plan is closed-form and exact either way).
+//!   via [`crate::window::run_passes`] (use for validation-scale
+//!   workloads).
+//! * For timing/power only at paper scale (60 000 iterations on 400×400
+//!   meshes would be pointless to stream cell by cell), price the
+//!   closed-form [`cycles::plan`] with [`SimReport::from_plan`] — the plan
+//!   is exact either way.
 
 use crate::cycles;
 use crate::design::{ExecMode, StencilDesign, Workload};
 use crate::device::FpgaDevice;
-use crate::error::ExecError;
+use crate::error::check_run;
 use crate::power;
 use crate::profile;
 use crate::report::SimReport;
-use crate::window::{run_chain_2d_engine_traced, Engine2D, ScalarEngine};
+use crate::window::{
+    pass_chain, pass_sizes, run_chain, run_passes, Engine2D, ScalarEngine, Stamps,
+};
 use sf_kernels::StencilOp2D;
 use sf_mesh::{Batch2D, Element, Mesh2D, TileGrid1D};
 use sf_telemetry::Recorder;
-
-/// Timing/power estimate for a workload without executing the numerics.
-///
-/// # Errors
-/// [`ExecError::ShapeMismatch`] if the workload is not 2D.
-pub fn estimate_2d(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    wl: &Workload,
-    niter: u64,
-) -> Result<SimReport, ExecError> {
-    if !matches!(wl, Workload::D2 { .. }) {
-        return Err(ExecError::ShapeMismatch {
-            detail: "2D estimator needs a 2D workload".to_string(),
-        });
-    }
-    let plan = cycles::plan(dev, design, wl, niter);
-    Ok(SimReport::from_plan(design, &plan, niter, power::fpga_power_w(dev, design)))
-}
 
 /// Execute `niter` iterations of `stages_per_iter` on a (batch of) 2D
 /// mesh(es) through the design's dataflow pipeline. Returns the result and
@@ -91,9 +76,9 @@ pub fn simulate_2d_traced<T: Element, K: StencilOp2D<T> + Clone>(
     simulate_2d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
 }
 
-/// [`simulate_2d_traced`] for any [`Engine2D`]: the pass loop, mode
-/// dispatch and plan accounting shared by the scalar and fast paths.
-pub(crate) fn simulate_2d_core<T: Element, K: Clone, E: Engine2D<T, K>>(
+/// [`simulate_2d_traced`] for any [`Engine2D`]: mode dispatch and plan
+/// accounting shared by the scalar and fast paths.
+pub(crate) fn simulate_2d_core<T: Element, K, E: Engine2D<T, K>>(
     engine: &E,
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -102,65 +87,36 @@ pub(crate) fn simulate_2d_core<T: Element, K: Clone, E: Engine2D<T, K>>(
     niter: usize,
     rec: &mut Recorder,
 ) -> (Batch2D<T>, SimReport) {
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
     let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    assert!(!matches!(design.mode, ExecMode::Tiled2D { .. }), "Tiled2D is a 3D mode");
-    match design.mode {
-        ExecMode::Baseline => assert_eq!(b, 1, "baseline design runs one mesh"),
-        ExecMode::Batched { b: db } => assert_eq!(b, db, "batch size mismatch"),
-        _ => assert_eq!(b, 1, "tiled design runs one mesh"),
-    }
     let wl = Workload::D2 { nx, ny, batch: b };
+    assert_eq!(check_run(design, &wl, stages_per_iter.len(), niter, true), Ok(()), "invalid run");
     let plan = profile::trace_schedule(dev, design, &wl, niter as u64, rec);
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-
-    let mut cur = input.clone();
-    let mut remaining = niter;
-    let mut first_pass = true;
-    let mut off = Recorder::disabled();
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let pass_rec: &mut Recorder = if first_pass { &mut *rec } else { &mut off };
-        cur = match design.mode {
-            ExecMode::Tiled1D { tile_m } => {
-                let mesh = cur.mesh(0);
-                let out = tiled_pass_2d(engine, dev, design, &chain, &mesh, tile_m, pass_rec);
-                Batch2D::from_meshes(&[out])
+    let passes = pass_sizes(design, niter);
+    let out = match design.mode {
+        ExecMode::Tiled1D { tile_m } => {
+            let mut cur = input.as_slice().to_vec();
+            let mut off = Recorder::disabled();
+            for (n, &p_eff) in passes.iter().enumerate() {
+                let pass_rec = if n == 0 { &mut *rec } else { &mut off };
+                let chain: Vec<&K> = pass_chain(stages_per_iter, p_eff).collect();
+                cur = tiled_pass_2d(engine, dev, design, &chain, &cur, nx, tile_m, pass_rec);
             }
-            _ => {
-                let rows = cur.as_slice().chunks(nx).map(|r| r.to_vec());
-                let out_rows = run_chain_2d_engine_traced(
-                    engine,
-                    &chain,
-                    nx,
-                    b * ny,
-                    ny,
-                    rows,
-                    pass_rec,
-                    "window/",
-                    0,
-                    rc,
-                );
-                let mut out = Batch2D::<T>::zeros(nx, ny, b);
-                for (gy, row) in out_rows.into_iter().enumerate() {
-                    out.as_mut_slice()[gy * nx..(gy + 1) * nx].copy_from_slice(&row);
-                }
-                out
-            }
-        };
-        remaining -= p_eff;
-        first_pass = false;
-    }
+            cur
+        }
+        _ => {
+            let at = Stamps {
+                prefix: "window/",
+                base_cycle: 0,
+                unit_cycles: cycles::unit_cycles(dev, design, &wl),
+            };
+            let make = |k: &K| engine.stage(k, nx, b * ny, ny);
+            run_passes(input.as_slice(), nx, &passes, stages_per_iter, make, rec, at, None)
+        }
+    };
 
     let report =
         SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
-    (cur, report)
+    (Batch2D::from_vec(nx, ny, b, out), report)
 }
 
 /// Convenience wrapper for single-mesh simulation.
@@ -176,43 +132,44 @@ pub fn simulate_mesh_2d<T: Element, K: StencilOp2D<T> + Clone>(
     (out.mesh(0), rep)
 }
 
-/// One spatially-blocked pass (`chain.len()` chained iterations) over a 2D
-/// mesh: every tile is streamed through the pipeline against the pass-start
-/// mesh, and only its valid columns are written back — exactly the paper's
-/// overlapped-block scheme.
-fn tiled_pass_2d<T: Element, K: Clone, E: Engine2D<T, K>>(
+/// One spatially-blocked pass (`chain.len()` chained stages) over the 2D
+/// mesh `mesh` (`nx` cells per row): every tile is streamed through the
+/// pipeline against the pass-start mesh, and only its valid columns are
+/// written back — exactly the paper's overlapped-block scheme.
+#[allow(clippy::too_many_arguments)]
+fn tiled_pass_2d<T: Element, K, E: Engine2D<T, K>>(
     engine: &E,
     dev: &FpgaDevice,
     design: &StencilDesign,
-    chain: &[K],
-    mesh: &Mesh2D<T>,
+    chain: &[&K],
+    mesh: &[T],
+    nx: usize,
     tile_m: usize,
     rec: &mut Recorder,
-) -> Mesh2D<T> {
-    let (nx, ny) = (mesh.nx(), mesh.ny());
+) -> Vec<T> {
+    let ny = mesh.len() / nx;
     // halo sized for the full design depth p (covers shorter final passes too)
     let halo = design.p * design.spec.halo_order() / 2;
     let align = (64 / design.spec.elem_bytes).max(1);
     let grid = TileGrid1D::new(nx, tile_m, halo, align);
-    let mut out = Mesh2D::<T>::zeros(nx, ny);
+    let mut out = vec![T::default(); mesh.len()];
     let mut off = Recorder::disabled();
     for (i, t) in grid.tiles().iter().enumerate() {
         let rows = (0..ny).map(|y| {
             let s = y * nx + t.read_start;
-            mesh.as_slice()[s..s + t.read_len].to_vec()
+            mesh[s..s + t.read_len].to_vec()
         });
         // Window-level events for the first tile only: every tile streams
         // the same chain, differing only in width.
         let tile_rec: &mut Recorder = if i == 0 { &mut *rec } else { &mut off };
-        let rc = cycles::design_row_cycles(dev, design, t.read_len, t.valid_len);
-        let tile_rows = run_chain_2d_engine_traced(
-            engine, chain, t.read_len, ny, ny, rows, tile_rec, "tile0/", 0, rc,
-        );
+        let unit_cycles = cycles::design_row_cycles(dev, design, t.read_len, t.valid_len);
+        let at = Stamps { prefix: "tile0/", base_cycle: 0, unit_cycles };
+        let stages = chain.iter().map(|k| engine.stage(k, t.read_len, ny, ny)).collect();
+        let tile_rows = run_chain(stages, ny, rows, tile_rec, at, None);
         let off = t.valid_offset();
         for (y, row) in tile_rows.into_iter().enumerate() {
             let dst = y * nx + t.valid_start;
-            out.as_mut_slice()[dst..dst + t.valid_len]
-                .copy_from_slice(&row[off..off + t.valid_len]);
+            out[dst..dst + t.valid_len].copy_from_slice(&row[off..off + t.valid_len]);
         }
     }
     out
@@ -290,28 +247,6 @@ mod tests {
         let (out, _) = simulate_mesh_2d(&dev(), &ds, &[Poisson2D], &m, 8); // 6 + 2
         let expect = reference::run_2d(&Poisson2D, &m, 8);
         assert!(norms::bit_equal(out.as_slice(), expect.as_slice()));
-    }
-
-    #[test]
-    fn estimate_matches_simulate_timing() {
-        let m = Mesh2D::<f32>::random(64, 32, 1, 0.0, 1.0);
-        let wl = Workload::D2 { nx: 64, ny: 32, batch: 1 };
-        let ds = design(&wl, 8, 4, ExecMode::Baseline);
-        let (_, sim) = simulate_mesh_2d(&dev(), &ds, &[Poisson2D], &m, 8);
-        let est = estimate_2d(&dev(), &ds, &wl, 8).unwrap();
-        assert_eq!(sim.total_cycles, est.total_cycles);
-        assert_eq!(sim.runtime_s, est.runtime_s);
-        assert_eq!(sim.energy_j, est.energy_j);
-    }
-
-    #[test]
-    fn estimate_rejects_3d_workload_with_typed_error() {
-        let wl = Workload::D2 { nx: 64, ny: 32, batch: 1 };
-        let ds = design(&wl, 8, 4, ExecMode::Baseline);
-        let bad = Workload::D3 { nx: 64, ny: 32, nz: 16, batch: 1 };
-        let err = estimate_2d(&dev(), &ds, &bad, 8).unwrap_err();
-        assert!(matches!(err, ExecError::ShapeMismatch { .. }), "{err:?}");
-        assert!(format!("{err}").contains("2D estimator needs a 2D workload"));
     }
 
     #[test]

@@ -6,33 +6,16 @@
 use crate::cycles;
 use crate::design::{ExecMode, StencilDesign, Workload};
 use crate::device::FpgaDevice;
-use crate::error::ExecError;
+use crate::error::check_run;
 use crate::power;
 use crate::profile;
 use crate::report::SimReport;
-use crate::window::{run_chain_3d_engine_traced, Engine3D, ScalarEngine};
+use crate::window::{
+    pass_chain, pass_sizes, run_chain, run_passes, Engine3D, ScalarEngine, Stamps,
+};
 use sf_kernels::StencilOp3D;
 use sf_mesh::{Batch3D, Element, Mesh3D, TileGrid1D};
 use sf_telemetry::Recorder;
-
-/// Timing/power estimate without executing the numerics.
-///
-/// # Errors
-/// [`ExecError::ShapeMismatch`] if the workload is not 3D.
-pub fn estimate_3d(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    wl: &Workload,
-    niter: u64,
-) -> Result<SimReport, ExecError> {
-    if !matches!(wl, Workload::D3 { .. }) {
-        return Err(ExecError::ShapeMismatch {
-            detail: "3D estimator needs a 3D workload".to_string(),
-        });
-    }
-    let plan = cycles::plan(dev, design, wl, niter);
-    Ok(SimReport::from_plan(design, &plan, niter, power::fpga_power_w(dev, design)))
-}
 
 /// Execute `niter` iterations (each = all `stages_per_iter` in order) on a
 /// (batch of) 3D mesh(es). Returns the result and the report.
@@ -59,9 +42,9 @@ pub fn simulate_3d_traced<T: Element, K: StencilOp3D<T> + Clone>(
     simulate_3d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
 }
 
-/// [`simulate_3d_traced`] for any [`Engine3D`]: the pass loop, mode
-/// dispatch and plan accounting shared by the scalar and fast paths.
-pub(crate) fn simulate_3d_core<T: Element, K: Clone, E: Engine3D<T, K>>(
+/// [`simulate_3d_traced`] for any [`Engine3D`]: mode dispatch and plan
+/// accounting shared by the scalar and fast paths.
+pub(crate) fn simulate_3d_core<T: Element, K, E: Engine3D<T, K>>(
     engine: &E,
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -70,69 +53,38 @@ pub(crate) fn simulate_3d_core<T: Element, K: Clone, E: Engine3D<T, K>>(
     niter: usize,
     rec: &mut Recorder,
 ) -> (Batch3D<T>, SimReport) {
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
     let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    assert!(!matches!(design.mode, ExecMode::Tiled1D { .. }), "Tiled1D is a 2D mode");
-    match design.mode {
-        ExecMode::Baseline => assert_eq!(b, 1, "baseline design runs one mesh"),
-        ExecMode::Batched { b: db } => assert_eq!(b, db, "batch size mismatch"),
-        _ => assert_eq!(b, 1, "tiled design runs one mesh"),
-    }
     let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let plane = nx * ny;
+    assert_eq!(check_run(design, &wl, stages_per_iter.len(), niter, true), Ok(()), "invalid run");
     let plan = profile::trace_schedule(dev, design, &wl, niter as u64, rec);
-    // The streamed unit is a plane: ny rows at the design's row rate.
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-
-    let mut cur = input.clone();
-    let mut remaining = niter;
-    let mut first_pass = true;
-    let mut off = Recorder::disabled();
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let pass_rec: &mut Recorder = if first_pass { &mut *rec } else { &mut off };
-        cur = match design.mode {
-            ExecMode::Tiled2D { tile_m, tile_n } => {
-                let mesh = cur.mesh(0);
-                let out =
-                    tiled_pass_3d(engine, dev, design, &chain, &mesh, tile_m, tile_n, pass_rec);
-                Batch3D::from_meshes(&[out])
+    let passes = pass_sizes(design, niter);
+    let out = match design.mode {
+        ExecMode::Tiled2D { tile_m, tile_n } => {
+            let mut cur = input.as_slice().to_vec();
+            let mut off = Recorder::disabled();
+            for (n, &p_eff) in passes.iter().enumerate() {
+                let pass_rec = if n == 0 { &mut *rec } else { &mut off };
+                let chain: Vec<&K> = pass_chain(stages_per_iter, p_eff).collect();
+                let tile = (tile_m, tile_n);
+                cur = tiled_pass_3d(engine, dev, design, &chain, &cur, (nx, ny), tile, pass_rec);
             }
-            _ => {
-                let planes = cur.as_slice().chunks(plane).map(|p| p.to_vec());
-                let out_planes = run_chain_3d_engine_traced(
-                    engine,
-                    &chain,
-                    nx,
-                    ny,
-                    b * nz,
-                    nz,
-                    planes,
-                    pass_rec,
-                    "window/",
-                    0,
-                    plane_cycles,
-                );
-                let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-                for (gz, pl) in out_planes.into_iter().enumerate() {
-                    out.as_mut_slice()[gz * plane..(gz + 1) * plane].copy_from_slice(&pl);
-                }
-                out
-            }
-        };
-        remaining -= p_eff;
-        first_pass = false;
-    }
+            cur
+        }
+        _ => {
+            // The streamed unit is a plane: ny rows at the design's row rate.
+            let at = Stamps {
+                prefix: "window/",
+                base_cycle: 0,
+                unit_cycles: cycles::unit_cycles(dev, design, &wl),
+            };
+            let make = |k: &K| engine.stage(k, nx, ny, b * nz, nz);
+            run_passes(input.as_slice(), nx * ny, &passes, stages_per_iter, make, rec, at, None)
+        }
+    };
 
     let report =
         SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
-    (cur, report)
+    (Batch3D::from_vec(nx, ny, nz, b, out), report)
 }
 
 /// Convenience wrapper for single-mesh simulation.
@@ -148,25 +100,25 @@ pub fn simulate_mesh_3d<T: Element, K: StencilOp3D<T> + Clone>(
     (out.mesh(0), rep)
 }
 
-/// One spatially-blocked pass over a 3D mesh: `M × N` tiles spanning the
-/// full `z` extent, streamed plane by plane.
+/// One spatially-blocked pass over the 3D mesh `mesh` of `nx × ny` planes:
+/// `M × N` tiles spanning the full `z` extent, streamed plane by plane.
 #[allow(clippy::too_many_arguments)]
-fn tiled_pass_3d<T: Element, K: Clone, E: Engine3D<T, K>>(
+fn tiled_pass_3d<T: Element, K, E: Engine3D<T, K>>(
     engine: &E,
     dev: &FpgaDevice,
     design: &StencilDesign,
-    chain: &[K],
-    mesh: &Mesh3D<T>,
-    tile_m: usize,
-    tile_n: usize,
+    chain: &[&K],
+    mesh: &[T],
+    (nx, ny): (usize, usize),
+    (tile_m, tile_n): (usize, usize),
     rec: &mut Recorder,
-) -> Mesh3D<T> {
-    let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
+) -> Vec<T> {
+    let nz = mesh.len() / (nx * ny);
     let halo = design.p * design.spec.halo_order() / 2;
     let align = (64 / design.spec.elem_bytes).max(1);
     let gx = TileGrid1D::new(nx, tile_m, halo, align);
     let gy = TileGrid1D::new(ny, tile_n, halo, 1);
-    let mut out = Mesh3D::<T>::zeros(nx, ny, nz);
+    let mut out = vec![T::default(); mesh.len()];
     let mut off = Recorder::disabled();
     let mut first_tile = true;
     for ty in gy.tiles() {
@@ -175,34 +127,24 @@ fn tiled_pass_3d<T: Element, K: Clone, E: Engine3D<T, K>>(
                 let mut buf = Vec::with_capacity(tx.read_len * ty.read_len);
                 for y in ty.read_start..ty.read_end() {
                     let s = (z * ny + y) * nx + tx.read_start;
-                    buf.extend_from_slice(&mesh.as_slice()[s..s + tx.read_len]);
+                    buf.extend_from_slice(&mesh[s..s + tx.read_len]);
                 }
                 buf
             });
             let tile_rec: &mut Recorder = if first_tile { &mut *rec } else { &mut off };
             first_tile = false;
-            let plane_cycles = cycles::design_row_cycles(dev, design, tx.read_len, tx.valid_len)
+            let unit_cycles = cycles::design_row_cycles(dev, design, tx.read_len, tx.valid_len)
                 * ty.read_len as u64;
-            let tile_planes = run_chain_3d_engine_traced(
-                engine,
-                chain,
-                tx.read_len,
-                ty.read_len,
-                nz,
-                nz,
-                planes,
-                tile_rec,
-                "tile0/",
-                0,
-                plane_cycles,
-            );
+            let at = Stamps { prefix: "tile0/", base_cycle: 0, unit_cycles };
+            let stages =
+                chain.iter().map(|k| engine.stage(k, tx.read_len, ty.read_len, nz, nz)).collect();
+            let tile_planes = run_chain(stages, nz, planes, tile_rec, at, None);
             let (offx, offy) = (tx.valid_offset(), ty.valid_offset());
             for (z, pl) in tile_planes.into_iter().enumerate() {
                 for vy in 0..ty.valid_len {
                     let src = (offy + vy) * tx.read_len + offx;
                     let dst = (z * ny + ty.valid_start + vy) * nx + tx.valid_start;
-                    out.as_mut_slice()[dst..dst + tx.valid_len]
-                        .copy_from_slice(&pl[src..src + tx.valid_len]);
+                    out[dst..dst + tx.valid_len].copy_from_slice(&pl[src..src + tx.valid_len]);
                 }
             }
         }
@@ -363,32 +305,6 @@ mod tests {
         let pipe = rec.find_track("pipeline").unwrap();
         assert_eq!(rec.track_span_cycles(pipe), rep.total_cycles);
         assert_eq!(rec.counter("window.planes_streamed"), 10);
-    }
-
-    #[test]
-    fn estimate_matches_simulate_timing_3d() {
-        let m = Mesh3D::<f32>::random(12, 12, 12, 2, 0.0, 1.0);
-        let wl = Workload::D3 { nx: 12, ny: 12, nz: 12, batch: 1 };
-        let ds =
-            synthesize(&dev(), &StencilSpec::jacobi(), 8, 2, ExecMode::Baseline, MemKind::Hbm, &wl)
-                .unwrap();
-        let k = Jacobi3D::smoothing();
-        let (_, sim) = simulate_mesh_3d(&dev(), &ds, &[k], &m, 4);
-        let est = estimate_3d(&dev(), &ds, &wl, 4).unwrap();
-        assert_eq!(sim.total_cycles, est.total_cycles);
-        assert_eq!(sim.runtime_s, est.runtime_s);
-    }
-
-    #[test]
-    fn estimate_rejects_2d_workload_with_typed_error() {
-        let wl = Workload::D3 { nx: 12, ny: 12, nz: 12, batch: 1 };
-        let ds =
-            synthesize(&dev(), &StencilSpec::jacobi(), 8, 2, ExecMode::Baseline, MemKind::Hbm, &wl)
-                .unwrap();
-        let bad = Workload::D2 { nx: 12, ny: 12, batch: 1 };
-        let err = estimate_3d(&dev(), &ds, &bad, 4).unwrap_err();
-        assert!(matches!(err, ExecError::ShapeMismatch { .. }), "{err:?}");
-        assert!(format!("{err}").contains("3D estimator needs a 3D workload"));
     }
 }
 

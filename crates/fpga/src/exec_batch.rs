@@ -22,126 +22,60 @@
 //!   flat-metrics JSON byte-identical for every `jobs` value.
 
 use crate::cycles;
-use crate::design::{ExecMode, StencilDesign, Workload};
+use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
+use crate::error::check_run;
 use crate::power;
 use crate::profile;
 use crate::report::SimReport;
-use crate::window::{
-    run_chain_2d_engine_traced, run_chain_3d_engine_traced, Engine2D, Engine3D, ScalarEngine,
-};
+use crate::window::{pass_sizes, run_passes, Engine2D, Engine3D, ScalarEngine, Stage, Stamps};
 use sf_kernels::{StencilOp2D, StencilOp3D};
-use sf_mesh::{Batch2D, Batch3D, Element, Mesh2D, Mesh3D};
+use sf_mesh::{Batch2D, Batch3D, Element};
 use sf_telemetry::Recorder;
 
-/// Check a batch executor's design/input agreement (2D and 3D share this).
-fn check_batch_mode(design: &StencilDesign, b: usize) {
-    assert!(
-        matches!(design.mode, ExecMode::Baseline | ExecMode::Batched { .. }),
-        "batch executor needs a Baseline or Batched design"
-    );
-    match design.mode {
-        ExecMode::Batched { b: db } => assert_eq!(b, db, "batch size mismatch"),
-        _ => assert_eq!(b, 1, "baseline design runs one mesh"),
-    }
-}
-
-/// Run one mesh's full iteration schedule through the 2D window chain.
-///
-/// Mirrors the pass loop of [`crate::exec2d::simulate_2d_traced`] for one
-/// batch member: `ceil(niter / p)` passes, each chaining `p_eff × stages`
-/// processors, window events traced on the first pass only.
+/// The dimension-agnostic batch executor: every mesh of the flat batch
+/// `input` of workload `wl` runs the full pass schedule as one work item
+/// through stages built by `make_stage` (one mesh per stream), recording
+/// its first pass under `mesh{i}/window/` at the mesh's cycle offset in the
+/// batched stream.
 #[allow(clippy::too_many_arguments)]
-fn run_mesh_passes_2d<T: Element, K: Clone, E: Engine2D<T, K>>(
-    engine: &E,
+fn batch_parallel<T: Element, K: Sync, S: Stage<T>>(
+    dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
-    mesh: &Mesh2D<T>,
+    make_stage: impl Fn(&K) -> S + Sync,
+    input: &[T],
+    wl: &Workload,
     niter: usize,
-    row_cycles: u64,
+    jobs: usize,
     rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-) -> Mesh2D<T> {
-    let (nx, ny) = (mesh.nx(), mesh.ny());
-    let mut cur = mesh.clone();
-    let mut remaining = niter;
-    let mut first_pass = true;
-    let mut off = Recorder::disabled();
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let pass_rec: &mut Recorder = if first_pass { &mut *rec } else { &mut off };
-        let rows = cur.as_slice().chunks(nx).map(|r| r.to_vec());
-        let out_rows = run_chain_2d_engine_traced(
-            engine,
-            &chain,
-            nx,
-            ny,
-            ny,
-            rows,
-            pass_rec,
-            track_prefix,
-            base_cycle,
-            row_cycles,
-        );
-        let mut out = Mesh2D::<T>::zeros(nx, ny);
-        for (y, row) in out_rows.into_iter().enumerate() {
-            out.as_mut_slice()[y * nx..(y + 1) * nx].copy_from_slice(&row);
-        }
-        cur = out;
-        remaining -= p_eff;
-        first_pass = false;
-    }
-    cur
-}
+) -> (Vec<T>, SimReport) {
+    let checked = check_run(design, wl, stages_per_iter.len(), niter, false);
+    assert_eq!(checked, Ok(()), "invalid run");
+    let plan = profile::trace_schedule(dev, design, wl, niter as u64, rec);
+    let (unit_len, mesh_units) = wl.stream_units();
+    let unit_cycles = cycles::unit_cycles(dev, design, wl);
+    let passes = pass_sizes(design, niter);
+    let trace_on = rec.is_enabled();
+    let clock = rec.cycles_per_us();
 
-/// 3D twin of [`run_mesh_passes_2d`]: streams planes instead of rows.
-#[allow(clippy::too_many_arguments)]
-fn run_mesh_passes_3d<T: Element, K: Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    mesh: &Mesh3D<T>,
-    niter: usize,
-    plane_cycles: u64,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-) -> Mesh3D<T> {
-    let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
-    let plane = nx * ny;
-    let mut cur = mesh.clone();
-    let mut remaining = niter;
-    let mut first_pass = true;
-    let mut off = Recorder::disabled();
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let pass_rec: &mut Recorder = if first_pass { &mut *rec } else { &mut off };
-        let planes = cur.as_slice().chunks(plane).map(|p| p.to_vec());
-        let out_planes = run_chain_3d_engine_traced(
-            engine,
-            &chain,
-            nx,
-            ny,
-            nz,
-            nz,
-            planes,
-            pass_rec,
-            track_prefix,
-            base_cycle,
-            plane_cycles,
-        );
-        let mut out = Mesh3D::<T>::zeros(nx, ny, nz);
-        for (z, pl) in out_planes.into_iter().enumerate() {
-            out.as_mut_slice()[z * plane..(z + 1) * plane].copy_from_slice(&pl);
-        }
-        cur = out;
-        remaining -= p_eff;
-        first_pass = false;
-    }
-    cur
+    let meshes: Vec<&[T]> = input.chunks(unit_len * mesh_units).collect();
+    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
+        let mut shard = if trace_on { Recorder::enabled(clock) } else { Recorder::disabled() };
+        let prefix = format!("mesh{i}/window/");
+        // Cycle offset of this mesh's units within the batched stream.
+        let base_cycle = (i * mesh_units) as u64 * unit_cycles;
+        let at = Stamps { prefix: &prefix, base_cycle, unit_cycles };
+        let out =
+            run_passes(mesh, unit_len, &passes, stages_per_iter, &make_stage, &mut shard, at, None);
+        (out, shard)
+    });
+    let (outs, shards): (Vec<Vec<T>>, Vec<Recorder>) = results.into_iter().unzip();
+    rec.merge_shards(shards);
+
+    let report =
+        SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
+    (outs.concat(), report)
 }
 
 /// Execute a (batch of) 2D mesh(es) with per-mesh fan-out across `jobs`
@@ -192,55 +126,15 @@ pub(crate) fn simulate_batch_2d_parallel_core<T, K, E>(
 ) -> (Batch2D<T>, SimReport)
 where
     T: Element,
-    K: Clone + Sync,
+    K: Sync,
     E: Engine2D<T, K> + Sync,
 {
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
     let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_batch_mode(design, b);
     let wl = Workload::D2 { nx, ny, batch: b };
-    let plan = profile::trace_schedule(dev, design, &wl, niter as u64, rec);
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let trace_on = rec.is_enabled();
-    let clock = rec.cycles_per_us();
-
-    let meshes: Vec<Mesh2D<T>> = (0..b).map(|i| input.mesh(i)).collect();
-    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
-        let mut shard = if trace_on { Recorder::enabled(clock) } else { Recorder::disabled() };
-        let prefix = format!("mesh{i}/window/");
-        // Cycle offset of this mesh's rows within the batched stream.
-        let base_cycle = (i * ny) as u64 * rc;
-        let out = run_mesh_passes_2d(
-            engine,
-            design,
-            stages_per_iter,
-            &mesh,
-            niter,
-            rc,
-            &mut shard,
-            &prefix,
-            base_cycle,
-        );
-        (out, shard)
-    });
-
-    let mut out = Batch2D::<T>::zeros(nx, ny, b);
-    let plane = nx * ny;
-    let mut shards = Vec::with_capacity(b);
-    for (i, (mesh, shard)) in results.into_iter().enumerate() {
-        out.as_mut_slice()[i * plane..(i + 1) * plane].copy_from_slice(mesh.as_slice());
-        shards.push(shard);
-    }
-    rec.merge_shards(shards);
-
-    let report =
-        SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
-    (out, report)
+    let make = |k: &K| engine.stage(k, nx, ny, ny);
+    let (out, report) =
+        batch_parallel(dev, design, stages_per_iter, make, input.as_slice(), &wl, niter, jobs, rec);
+    (Batch2D::from_vec(nx, ny, b, out), report)
 }
 
 /// 3D twin of [`simulate_batch_2d_parallel`].
@@ -279,60 +173,21 @@ pub(crate) fn simulate_batch_3d_parallel_core<T, K, E>(
 ) -> (Batch3D<T>, SimReport)
 where
     T: Element,
-    K: Clone + Sync,
+    K: Sync,
     E: Engine3D<T, K> + Sync,
 {
-    assert!(niter > 0, "niter must be positive");
-    assert_eq!(
-        stages_per_iter.len(),
-        design.spec.stages,
-        "stage count must match the design's spec"
-    );
     let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_batch_mode(design, b);
     let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let plan = profile::trace_schedule(dev, design, &wl, niter as u64, rec);
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let trace_on = rec.is_enabled();
-    let clock = rec.cycles_per_us();
-
-    let meshes: Vec<Mesh3D<T>> = (0..b).map(|i| input.mesh(i)).collect();
-    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
-        let mut shard = if trace_on { Recorder::enabled(clock) } else { Recorder::disabled() };
-        let prefix = format!("mesh{i}/window/");
-        let base_cycle = (i * nz) as u64 * plane_cycles;
-        let out = run_mesh_passes_3d(
-            engine,
-            design,
-            stages_per_iter,
-            &mesh,
-            niter,
-            plane_cycles,
-            &mut shard,
-            &prefix,
-            base_cycle,
-        );
-        (out, shard)
-    });
-
-    let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-    let vol = nx * ny * nz;
-    let mut shards = Vec::with_capacity(b);
-    for (i, (mesh, shard)) in results.into_iter().enumerate() {
-        out.as_mut_slice()[i * vol..(i + 1) * vol].copy_from_slice(mesh.as_slice());
-        shards.push(shard);
-    }
-    rec.merge_shards(shards);
-
-    let report =
-        SimReport::from_plan(design, &plan, niter as u64, power::fpga_power_w(dev, design));
-    (out, report)
+    let make = |k: &K| engine.stage(k, nx, ny, nz, nz);
+    let (out, report) =
+        batch_parallel(dev, design, stages_per_iter, make, input.as_slice(), &wl, niter, jobs, rec);
+    (Batch3D::from_vec(nx, ny, nz, b, out), report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{synthesize, MemKind};
+    use crate::design::{synthesize, ExecMode, MemKind};
     use crate::exec2d::simulate_2d;
     use crate::exec3d::simulate_3d;
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};

@@ -25,7 +25,8 @@
 //! [`ScalarEngine`]. Streaming schedule, telemetry hooks (which fire per
 //! row/plane, never per cell), drain logic, cycle accounting, fault
 //! injection points, watchdog observation and recovery checkpointing are
-//! the *same code* for both engines, so traces, [`crate::report::SimReport`]s
+//! the *same code* for both engines — the one chain runner
+//! [`crate::window::run_chain`] —, so traces, [`crate::report::SimReport`]s
 //! and fault campaigns are byte-identical across `--exec scalar|fast`.
 //!
 //! Iteration is row-blocked: each emitted row (2D) or row-of-plane (3D) is
@@ -44,7 +45,7 @@ use crate::recovery::{
 };
 use crate::report::SimReport;
 use crate::resilient::{simulate_2d_resilient_core, simulate_3d_resilient_core};
-use crate::window::{Engine2D, Engine3D, RingBuffer, ScalarEngine, Stage2D, Stage3D};
+use crate::window::{Engine2D, Engine3D, RingBuffer, ScalarEngine, Stage};
 use serde::{Deserialize, Serialize};
 use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_kernels::{LaneElement, LaneOp2D, LaneOp3D};
@@ -271,9 +272,10 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
     }
 }
 
-impl<T: LaneElement, K: LaneOp2D<T>> Stage2D<T> for FastStageProcessor2D<T, K> {
-    fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
-        FastStageProcessor2D::push_row(self, row)
+impl<T: LaneElement, K: LaneOp2D<T>> Stage<T> for FastStageProcessor2D<T, K> {
+    const UNITS: &'static str = "rows";
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.push_row(unit)
     }
     fn finish(&mut self) -> Vec<Vec<T>> {
         FastStageProcessor2D::finish(self)
@@ -283,9 +285,10 @@ impl<T: LaneElement, K: LaneOp2D<T>> Stage2D<T> for FastStageProcessor2D<T, K> {
     }
 }
 
-impl<T: LaneElement, K: LaneOp3D<T>> Stage3D<T> for FastStageProcessor3D<T, K> {
-    fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
-        FastStageProcessor3D::push_plane(self, plane)
+impl<T: LaneElement, K: LaneOp3D<T>> Stage<T> for FastStageProcessor3D<T, K> {
+    const UNITS: &'static str = "planes";
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.push_plane(unit)
     }
     fn finish(&mut self) -> Vec<Vec<T>> {
         FastStageProcessor3D::finish(self)
@@ -395,50 +398,6 @@ pub fn simulate_3d_fast<T: LaneElement, K: LaneOp3D<T> + Clone>(
         input,
         niter,
         &mut Recorder::disabled(),
-    )
-}
-
-/// [`crate::exec_batch::simulate_batch_2d_parallel`] through the fast path.
-pub fn simulate_batch_2d_fast<T: LaneElement, K: LaneOp2D<T> + Clone + Sync>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    simulate_batch_2d_parallel_core(
-        &FastEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        jobs,
-        rec,
-    )
-}
-
-/// [`crate::exec_batch::simulate_batch_3d_parallel`] through the fast path.
-pub fn simulate_batch_3d_fast<T: LaneElement, K: LaneOp3D<T> + Clone + Sync>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    simulate_batch_3d_parallel_core(
-        &FastEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        jobs,
-        rec,
     )
 }
 

@@ -27,16 +27,22 @@
 //!   processors: the behavioral heart of the simulator. Cells stream in
 //!   row-major order through chained stages exactly as the HLS dataflow
 //!   pipeline would, so results are bit-exact vs the golden reference.
-//! * [`cycles`] — the closed-form cycle model shared by the executor and the
-//!   estimator (and validated against the paper's equations in `sf-model`).
-//! * [`exec2d`]/[`exec3d`] — baseline / batched / tiled executors producing a
-//!   [`report::SimReport`]; `simulate_*` runs numerics + timing,
-//!   `estimate_*` produces timing only (for paper-scale workloads).
+//!   Its one chain runner ([`window::run_chain`]) and one pass loop
+//!   ([`window::run_passes`]) carry every executor below.
+//! * [`cycles`] — the closed-form cycle model behind every report (and
+//!   validated against the paper's equations in `sf-model`); for
+//!   timing only at paper scale, price [`cycles::plan`] with
+//!   [`report::SimReport::from_plan`].
+//! * [`exec2d`]/[`exec3d`] — baseline / batched / tiled executors producing
+//!   numerics plus a [`report::SimReport`]; [`exec_batch`] fans batch
+//!   members across worker threads, [`resilient`] and [`recovery`] add
+//!   fault injection and checkpoint/rollback, and [`fast`] selects the
+//!   scalar or lane-parallel engine for each of them.
 //! * [`power`] — the xbutil-equivalent power/energy model.
 //! * [`profile`] — schedule-level telemetry: feeds an `sf-telemetry`
 //!   [`Recorder`] with per-pass/per-tile spans, AXI channel utilisation,
-//!   FIFO backpressure and stall attribution; `simulate_*_traced` adds
-//!   behavioral window-buffer events on top.
+//!   FIFO backpressure and stall attribution; an executor given an enabled
+//!   recorder adds behavioral window-buffer events of its first pass.
 
 pub mod axi;
 pub mod clock;
@@ -64,9 +70,8 @@ pub use device::{FpgaDevice, MemorySpec};
 pub use error::ExecError;
 pub use exec_batch::{simulate_batch_2d_parallel, simulate_batch_3d_parallel};
 pub use fast::{
-    simulate_2d_exec, simulate_2d_fast, simulate_3d_exec, simulate_3d_fast, simulate_batch_2d_fast,
-    simulate_batch_2d_parallel_exec, simulate_batch_3d_fast, simulate_batch_3d_parallel_exec,
-    ExecEngine, FastEngine,
+    simulate_2d_exec, simulate_2d_fast, simulate_3d_exec, simulate_3d_fast,
+    simulate_batch_2d_parallel_exec, simulate_batch_3d_parallel_exec, ExecEngine, FastEngine,
 };
 pub use recovery::{
     simulate_2d_recoverable, simulate_3d_recoverable, simulate_batch_2d_recoverable,

@@ -6,7 +6,8 @@
 //! module groups passes into **checkpoint segments** of
 //! [`RecoveryConfig::checkpoint_every`] passes. Per segment:
 //!
-//! 1. the segment is executed through the fault-aware chain runners;
+//! 1. the segment is executed through the one pass loop
+//!    ([`crate::window::run_passes`]) with fault hooks attached;
 //! 2. an [`AbftSignature`] (block row/column sums) of the segment output
 //!    is compared against the signature of the reference-propagated state
 //!    from the last verified checkpoint — silent data corruption the
@@ -38,15 +39,14 @@
 use crate::cycles;
 use crate::design::{MemKind, StencilDesign, Workload};
 use crate::device::FpgaDevice;
-use crate::error::ExecError;
+use crate::error::{check_run, ExecError};
 use crate::power;
 use crate::report::SimReport;
-use crate::resilient::{
-    check_mode, pass_budget, plan_with_faults, run_chain_2d_resilient_engine,
-    run_chain_3d_resilient_engine, simulate_2d_resilient_core, simulate_3d_resilient_core,
+use crate::resilient::{pass_budget, plan_with_faults, resilient, FaultyPlan};
+use crate::window::{
+    pass_sizes, run_passes, ChainFaults, Engine2D, Engine3D, ScalarEngine, Stage, Stamps,
 };
-use crate::window::{Engine2D, Engine3D, ScalarEngine};
-use sf_faults::{FaultInjector, FaultPlan, RetryPolicy, Watchdog};
+use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_kernels::{reference, StencilOp2D, StencilOp3D};
 use sf_mesh::{Batch2D, Batch3D, Element, Mesh2D, Mesh3D};
 use sf_recover::{
@@ -70,7 +70,9 @@ pub fn checkpoint_cost_cycles(dev: &FpgaDevice, design: &StencilDesign, bytes: u
     (bytes as f64 / bytes_per_cycle).ceil() as u64
 }
 
-/// Per-segment execution parameters shared by the 2D/3D cores.
+/// Per-stream recovery parameters: the checkpoint policy plus the stream
+/// geometry and costs of one recovered stream (a whole batch for the
+/// single-stream executor, one mesh for the batch-parallel path).
 struct RecoverParams {
     /// Passes per checkpoint segment.
     interval: usize,
@@ -83,6 +85,17 @@ struct RecoverParams {
     /// Spill directory (optional) and file-name prefix for this stream.
     spill_dir: Option<PathBuf>,
     spill_prefix: String,
+    /// Mesh extents and batch factor recorded in each snapshot.
+    dims: Vec<u64>,
+    batch: u64,
+    /// Cells per stream unit (row or plane), also the ABFT block width.
+    unit_len: usize,
+    /// Cycles per stream unit.
+    unit_cycles: u64,
+    /// Watchdog budget of one pass.
+    budget: u64,
+    /// Stream size in bytes, the cost basis of a checkpoint write.
+    bytes: u64,
     /// Cycles charged per checkpoint write.
     ckpt_cost: u64,
     /// Cycles charged per ABFT check.
@@ -92,40 +105,52 @@ struct RecoverParams {
 }
 
 impl RecoverParams {
-    fn from_config(
+    fn new<T: Element>(
+        dev: &FpgaDevice,
+        design: &StencilDesign,
+        wl: &Workload,
         rcfg: &RecoveryConfig,
         max_retries: u32,
-        spill_prefix: &str,
-        ckpt_cost: u64,
-        abft_cost: u64,
-        pass_cycles: u64,
+        spill_prefix: String,
     ) -> RecoverParams {
+        let (unit_len, mesh_units) = wl.stream_units();
+        let unit_cycles = cycles::unit_cycles(dev, design, wl);
+        let budget = pass_budget(design, (wl.batch() * mesh_units) as u64, unit_cycles);
+        let cells = wl.total_cells();
+        let bytes = cells * T::size_bytes() as u64;
+        let dims = match *wl {
+            Workload::D2 { nx, ny, .. } => vec![nx as u64, ny as u64],
+            Workload::D3 { nx, ny, nz, .. } => vec![nx as u64, ny as u64, nz as u64],
+        };
         RecoverParams {
             interval: rcfg.checkpoint_every.max(1),
             max_retries,
             ring_capacity: rcfg.ring_capacity,
             abft_tol: rcfg.abft_tol,
             spill_dir: rcfg.spill_dir.clone(),
-            spill_prefix: spill_prefix.to_string(),
-            ckpt_cost,
-            abft_cost,
-            pass_cycles,
+            spill_prefix,
+            dims,
+            batch: wl.batch() as u64,
+            unit_len,
+            unit_cycles,
+            budget,
+            bytes,
+            ckpt_cost: checkpoint_cost_cycles(dev, design, bytes),
+            abft_cost: abft_check_cycles(cells, design.v),
+            pass_cycles: budget.saturating_sub(1),
         }
     }
 
     /// Capture (and optionally spill) a checkpoint, charging its cost.
-    #[allow(clippy::too_many_arguments)]
     fn take_checkpoint<T: Element>(
         &self,
         ring: &mut CheckpointRing,
         stats: &mut RecoveryStats,
-        dims: &[u64],
-        batch: u64,
         cells: &[T],
         iters_done: u64,
         passes_done: u64,
     ) -> Result<(), ExecError> {
-        let snap = Snapshot::capture(iters_done, passes_done, dims, batch, cells);
+        let snap = Snapshot::capture(iters_done, passes_done, &self.dims, self.batch, cells);
         if let Some(dir) = &self.spill_dir {
             let path = dir.join(format!("{}ckpt_{passes_done:06}.sfckpt", self.spill_prefix));
             spill::write_file(&path, &snap)
@@ -155,159 +180,89 @@ impl RecoverParams {
     }
 }
 
-/// Split the remaining iterations into per-pass `p_eff` chunks for one
-/// checkpoint segment (at most `interval` passes).
-fn segment_passes(p: usize, remaining: usize, interval: usize) -> Vec<usize> {
-    let mut seg = Vec::new();
-    let mut rem = remaining;
-    while rem > 0 && seg.len() < interval {
-        let pe = p.min(rem);
-        seg.push(pe);
-        rem -= pe;
-    }
-    seg
-}
-
-/// Reference propagation of a 2D batch (per mesh, all stages per
-/// iteration) — the expected side of the ABFT comparison.
-fn reference_batch_2d<T: Element, K: StencilOp2D<T>>(
+/// Scalar golden reference of a flat 2D batch (`nx × ny` meshes, all
+/// stages per iteration) — the expected side of the ABFT comparison.
+fn reference_2d<T: Element, K: StencilOp2D<T>>(
     stages: &[K],
-    b: &Batch2D<T>,
+    (nx, ny): (usize, usize),
+    cells: &[T],
     iters: usize,
-) -> Batch2D<T> {
-    let meshes: Vec<Mesh2D<T>> =
-        (0..b.batch()).map(|i| reference::run_stages_2d(stages, &b.mesh(i), iters)).collect();
-    Batch2D::from_meshes(&meshes)
+) -> Vec<T> {
+    let meshes: Vec<Mesh2D<T>> = cells
+        .chunks(nx * ny)
+        .map(|m| {
+            let mesh = Mesh2D::from_fn(nx, ny, |x, y| m[y * nx + x]);
+            reference::run_stages_2d(stages, &mesh, iters)
+        })
+        .collect();
+    Batch2D::from_meshes(&meshes).into_vec()
 }
 
-/// 3D twin of [`reference_batch_2d`].
-fn reference_batch_3d<T: Element, K: StencilOp3D<T>>(
+/// 3D twin of [`reference_2d`].
+fn reference_3d<T: Element, K: StencilOp3D<T>>(
     stages: &[K],
-    b: &Batch3D<T>,
+    (nx, ny, nz): (usize, usize, usize),
+    cells: &[T],
     iters: usize,
-) -> Batch3D<T> {
-    let meshes: Vec<Mesh3D<T>> =
-        (0..b.batch()).map(|i| reference::run_stages_3d(stages, &b.mesh(i), iters)).collect();
-    Batch3D::from_meshes(&meshes)
+) -> Vec<T> {
+    let meshes: Vec<Mesh3D<T>> = cells
+        .chunks(nx * ny * nz)
+        .map(|m| {
+            let mesh = Mesh3D::from_fn(nx, ny, nz, |x, y, z| m[(z * ny + y) * nx + x]);
+            reference::run_stages_3d(stages, &mesh, iters)
+        })
+        .collect();
+    Batch3D::from_meshes(&meshes).into_vec()
 }
 
-/// Run one checkpoint segment (no recovery) through the fault-aware 2D
-/// chain runner.
+/// The checkpoint/ABFT/rollback loop over one stream (a whole batch for
+/// the single-stream executor; one mesh for the batch-parallel path).
+/// `reference(cells, iters)` propagates a verified state with the scalar
+/// golden reference, so every engine is checked against the same
+/// signatures.
 #[allow(clippy::too_many_arguments)]
-fn run_segment_2d<T: Element, K: Clone, E: Engine2D<T, K>>(
-    engine: &E,
-    stages: &[K],
-    start: &Batch2D<T>,
-    seg: &[usize],
-    inj: &mut FaultInjector,
-    budget: u64,
-    rc: u64,
-) -> Result<Batch2D<T>, ExecError> {
-    let (nx, ny, b) = (start.nx(), start.ny(), start.batch());
-    let stream_rows = b * ny;
-    let mut cur = start.clone();
-    for &p_eff in seg {
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages.iter().cloned()).collect();
-        let mut dog = Watchdog::new(budget, stream_rows as u64);
-        let rows = cur.as_slice().chunks(nx).map(|r| r.to_vec());
-        let out_rows = run_chain_2d_resilient_engine(
-            engine,
-            &chain,
-            nx,
-            stream_rows,
-            ny,
-            rows,
-            inj,
-            &mut dog,
-            rc,
-        )?;
-        let mut out = Batch2D::<T>::zeros(nx, ny, b);
-        for (gy, row) in out_rows.into_iter().enumerate() {
-            out.as_mut_slice()[gy * nx..(gy + 1) * nx].copy_from_slice(&row);
-        }
-        cur = out;
-    }
-    Ok(cur)
-}
-
-/// 3D twin of [`run_segment_2d`]: streams planes.
-#[allow(clippy::too_many_arguments)]
-fn run_segment_3d<T: Element, K: Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    stages: &[K],
-    start: &Batch3D<T>,
-    seg: &[usize],
-    inj: &mut FaultInjector,
-    budget: u64,
-    plane_cycles: u64,
-) -> Result<Batch3D<T>, ExecError> {
-    let (nx, ny, nz, b) = (start.nx(), start.ny(), start.nz(), start.batch());
-    let plane = nx * ny;
-    let stream_planes = b * nz;
-    let mut cur = start.clone();
-    for &p_eff in seg {
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages.iter().cloned()).collect();
-        let mut dog = Watchdog::new(budget, stream_planes as u64);
-        let planes = cur.as_slice().chunks(plane).map(|p| p.to_vec());
-        let out_planes = run_chain_3d_resilient_engine(
-            engine,
-            &chain,
-            nx,
-            ny,
-            stream_planes,
-            nz,
-            planes,
-            inj,
-            &mut dog,
-            plane_cycles,
-        )?;
-        let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-        for (gz, pl) in out_planes.into_iter().enumerate() {
-            out.as_mut_slice()[gz * plane..(gz + 1) * plane].copy_from_slice(&pl);
-        }
-        cur = out;
-    }
-    Ok(cur)
-}
-
-/// The checkpoint/ABFT/rollback loop over one 2D stream (a whole batch
-/// for the single-stream executor; one mesh for the batch-parallel path).
-#[allow(clippy::too_many_arguments)]
-fn recover_core_2d<T: Element, K: StencilOp2D<T> + Clone, E: Engine2D<T, K>>(
-    engine: &E,
+fn recover_core<T: Element, K, S: Stage<T>>(
     design: &StencilDesign,
     stages: &[K],
-    input: &Batch2D<T>,
+    make_stage: impl Fn(&K) -> S,
+    input: &[T],
     niter: usize,
     inj: &mut FaultInjector,
-    rc: u64,
-    budget: u64,
     prm: &RecoverParams,
-) -> Result<(Batch2D<T>, RecoveryStats), ExecError> {
-    let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    let dims = [nx as u64, ny as u64];
+    reference: impl Fn(&[T], usize) -> Vec<T>,
+) -> Result<(Vec<T>, RecoveryStats), ExecError> {
     let mut stats = RecoveryStats::default();
     let mut ring = CheckpointRing::new(prm.ring_capacity);
-    let mut verified = input.clone();
+    let mut verified = input.to_vec();
     let mut done = 0usize;
     let mut passes_done = 0u64;
-    prm.take_checkpoint(&mut ring, &mut stats, &dims, b as u64, verified.as_slice(), 0, 0)?;
+    prm.take_checkpoint(&mut ring, &mut stats, &verified, 0, 0)?;
+    let at = Stamps { prefix: "", base_cycle: 0, unit_cycles: prm.unit_cycles };
 
-    while done < niter {
-        let seg = segment_passes(design.p, niter - done, prm.interval);
+    for seg in pass_sizes(design, niter).chunks(prm.interval) {
         let seg_iters: usize = seg.iter().sum();
         let seg_replay_cycles = seg.len() as u64 * prm.pass_cycles;
-        let expected = reference_batch_2d(stages, &verified, seg_iters);
-        let expected_sig = AbftSignature::compute(expected.as_slice(), nx);
+        let expected_sig = AbftSignature::compute(&reference(&verified, seg_iters), prm.unit_len);
 
         let mut attempt = 0u32;
         let state = loop {
-            let outcome = run_segment_2d(engine, stages, &verified, &seg, inj, budget, rc);
-            match outcome {
+            let mut faults = ChainFaults::new(inj, prm.budget);
+            let mut off = Recorder::disabled();
+            let out = run_passes(
+                &verified,
+                prm.unit_len,
+                seg,
+                stages,
+                &make_stage,
+                &mut off,
+                at,
+                Some(&mut faults),
+            );
+            match faults.result(out) {
                 Ok(state) => {
                     stats.abft_checks += 1;
                     stats.abft_cycles += prm.abft_cost;
-                    let sig = AbftSignature::compute(state.as_slice(), nx);
+                    let sig = AbftSignature::compute(&state, prm.unit_len);
                     if sig.matches(&expected_sig, prm.abft_tol) {
                         break state;
                     }
@@ -332,128 +287,39 @@ fn recover_core_2d<T: Element, K: StencilOp2D<T> + Clone, E: Engine2D<T, K>>(
             stats.rollbacks += 1;
             stats.batches_replayed += seg.len() as u64;
             stats.recovery_cycles += seg_replay_cycles;
-            prm.rollback(&ring, verified.as_mut_slice(), attempt)?;
+            prm.rollback(&ring, &mut verified, attempt)?;
         };
         verified = state;
         done += seg_iters;
         passes_done += seg.len() as u64;
-        prm.take_checkpoint(
-            &mut ring,
-            &mut stats,
-            &dims,
-            b as u64,
-            verified.as_slice(),
-            done as u64,
-            passes_done,
-        )?;
+        prm.take_checkpoint(&mut ring, &mut stats, &verified, done as u64, passes_done)?;
     }
     Ok((verified, stats))
 }
 
-/// 3D twin of [`recover_core_2d`].
-#[allow(clippy::too_many_arguments)]
-fn recover_core_3d<T: Element, K: StencilOp3D<T> + Clone, E: Engine3D<T, K>>(
-    engine: &E,
-    design: &StencilDesign,
-    stages: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    plane_cycles: u64,
-    budget: u64,
-    prm: &RecoverParams,
-) -> Result<(Batch3D<T>, RecoveryStats), ExecError> {
-    let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    let dims = [nx as u64, ny as u64, nz as u64];
-    let unit = nx * ny;
-    let mut stats = RecoveryStats::default();
-    let mut ring = CheckpointRing::new(prm.ring_capacity);
-    let mut verified = input.clone();
-    let mut done = 0usize;
-    let mut passes_done = 0u64;
-    prm.take_checkpoint(&mut ring, &mut stats, &dims, b as u64, verified.as_slice(), 0, 0)?;
-
-    while done < niter {
-        let seg = segment_passes(design.p, niter - done, prm.interval);
-        let seg_iters: usize = seg.iter().sum();
-        let seg_replay_cycles = seg.len() as u64 * prm.pass_cycles;
-        let expected = reference_batch_3d(stages, &verified, seg_iters);
-        let expected_sig = AbftSignature::compute(expected.as_slice(), unit);
-
-        let mut attempt = 0u32;
-        let state = loop {
-            let outcome =
-                run_segment_3d(engine, stages, &verified, &seg, inj, budget, plane_cycles);
-            match outcome {
-                Ok(state) => {
-                    stats.abft_checks += 1;
-                    stats.abft_cycles += prm.abft_cost;
-                    let sig = AbftSignature::compute(state.as_slice(), unit);
-                    if sig.matches(&expected_sig, prm.abft_tol) {
-                        break state;
-                    }
-                    stats.sdc_detected += 1;
-                    if attempt >= prm.max_retries {
-                        return Err(ExecError::RecoveryExhausted {
-                            rollbacks: attempt,
-                            detail: format!(
-                                "ABFT signature mismatch persisted at iteration {done}"
-                            ),
-                        });
-                    }
-                }
-                Err(ExecError::Deadlock(trip)) => {
-                    if attempt >= prm.max_retries {
-                        return Err(ExecError::Deadlock(trip));
-                    }
-                }
-                Err(other) => return Err(other),
-            }
-            attempt += 1;
-            stats.rollbacks += 1;
-            stats.batches_replayed += seg.len() as u64;
-            stats.recovery_cycles += seg_replay_cycles;
-            prm.rollback(&ring, verified.as_mut_slice(), attempt)?;
-        };
-        verified = state;
-        done += seg_iters;
-        passes_done += seg.len() as u64;
-        prm.take_checkpoint(
-            &mut ring,
-            &mut stats,
-            &dims,
-            b as u64,
-            verified.as_slice(),
-            done as u64,
-            passes_done,
-        )?;
-    }
-    Ok((verified, stats))
-}
-
-/// Fold recovery stats into the plan, the recorder and the report.
+/// Fold recovery stats into the plan, the recorder and the report;
+/// `ckpt_bytes` is the size of one checkpoint write.
 #[allow(clippy::too_many_arguments)]
 fn finalize(
     dev: &FpgaDevice,
     design: &StencilDesign,
-    mut plan: cycles::CyclePlan,
+    fp: FaultyPlan,
     niter: u64,
-    mesh_bytes: u64,
+    ckpt_bytes: u64,
     stats: &RecoveryStats,
-    extra_axi_cycles: u64,
-    bursts_recovered: u64,
     injected: u64,
     rec: &mut Recorder,
 ) -> SimReport {
+    let mut plan = fp.plan;
     let overhead = stats.overhead_cycles();
     plan.total_cycles += overhead;
-    plan.ext_write_bytes += stats.checkpoints_taken * mesh_bytes;
+    plan.ext_write_bytes += stats.checkpoints_taken * ckpt_bytes;
     plan.runtime_s = plan.total_cycles as f64 / design.freq_hz
         + plan.host_calls as f64 * dev.host_call_latency_s;
     rec.stall(StallClass::Checkpoint, overhead);
     rec.counter_add("fault.injected", injected);
-    rec.counter_add("fault.axi.extra_cycles", extra_axi_cycles);
-    rec.counter_add("fault.axi.recovered", bursts_recovered);
+    rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
+    rec.counter_add("fault.axi.recovered", fp.bursts_recovered);
     rec.counter_add("fault.sdc_detected", stats.sdc_detected);
     rec.counter_add("recover.checkpoints", stats.checkpoints_taken);
     rec.counter_add("recover.checkpoint_cycles", stats.checkpoint_cycles);
@@ -472,6 +338,52 @@ fn rollback_budget(policy: RecoveryPolicy) -> Option<u32> {
         RecoveryPolicy::Rerun => None,
         RecoveryPolicy::Rollback { max_retries } => Some(max_retries),
     }
+}
+
+/// The dimension-agnostic single-stream recoverable executor over the
+/// flat batch `input` of workload `wl`: stages come from
+/// `make_stage(k, stream_units, mesh_units)`, the ABFT expected side from
+/// `reference`.
+#[allow(clippy::too_many_arguments)]
+fn recoverable<T: Element, K, S: Stage<T>>(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    stages_per_iter: &[K],
+    make_stage: impl Fn(&K, usize, usize) -> S,
+    input: &[T],
+    wl: &Workload,
+    niter: usize,
+    inj: &mut FaultInjector,
+    policy: &RetryPolicy,
+    rcfg: &RecoveryConfig,
+    rec: &mut Recorder,
+    reference: impl Fn(&[T], usize) -> Vec<T>,
+) -> Result<(Vec<T>, SimReport, RecoveryStats), ExecError> {
+    let Some(max_retries) = rollback_budget(rcfg.policy) else {
+        let (out, rep) = resilient(
+            dev,
+            design,
+            stages_per_iter,
+            make_stage,
+            input,
+            wl,
+            niter,
+            inj,
+            policy,
+            rec,
+        )?;
+        return Ok((out, rep, RecoveryStats::default()));
+    };
+    check_run(design, wl, stages_per_iter.len(), niter, false)?;
+    let fp = plan_with_faults(dev, design, wl, niter as u64, inj, policy)?;
+    let prm = RecoverParams::new::<T>(dev, design, wl, rcfg, max_retries, String::new());
+    let mesh_units = wl.stream_units().1;
+    let make = |k: &K| make_stage(k, wl.batch() * mesh_units, mesh_units);
+    let (out, stats) =
+        recover_core(design, stages_per_iter, make, input, niter, inj, &prm, reference)
+            .map_err(|e| e.with_stalls(rec))?;
+    let report = finalize(dev, design, fp, niter as u64, prm.bytes, &stats, inj.injected(), rec);
+    Ok((out, report, stats))
 }
 
 /// Checkpoint/rollback variant of [`crate::resilient::simulate_2d_resilient`].
@@ -527,73 +439,26 @@ pub(crate) fn simulate_2d_recoverable_core<T, K, E>(
 ) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError>
 where
     T: Element,
-    K: StencilOp2D<T> + Clone,
+    K: StencilOp2D<T>,
     E: Engine2D<T, K>,
 {
-    let Some(max_retries) = rollback_budget(rcfg.policy) else {
-        let (out, rep) = simulate_2d_resilient_core(
-            engine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        )?;
-        return Ok((out, rep, RecoveryStats::default()));
-    };
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
     let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_mode(design, b)?;
     let wl = Workload::D2 { nx, ny, batch: b };
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, inj, policy)?;
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let stream_rows = b * ny;
-    let budget = pass_budget(design, stream_rows as u64, rc);
-
-    let mesh_bytes = (input.as_slice().len() * T::size_bytes()) as u64;
-    let prm = RecoverParams::from_config(
-        rcfg,
-        max_retries,
-        "",
-        checkpoint_cost_cycles(dev, design, mesh_bytes),
-        abft_check_cycles(input.as_slice().len() as u64, design.v),
-        budget.saturating_sub(1),
-    );
-    let (out, stats) =
-        recover_core_2d(engine, design, stages_per_iter, input, niter, inj, rc, budget, &prm)
-            .map_err(|e| match e {
-                ExecError::Deadlock(t) => {
-                    ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown()))
-                }
-                other => other,
-            })?;
-    let report = finalize(
+    let (out, report, stats) = recoverable(
         dev,
         design,
-        fp.plan,
-        niter as u64,
-        mesh_bytes,
-        &stats,
-        fp.extra_axi_cycles,
-        fp.bursts_recovered,
-        inj.injected(),
+        stages_per_iter,
+        |k, units, mesh| engine.stage(k, nx, units, mesh),
+        input.as_slice(),
+        &wl,
+        niter,
+        inj,
+        policy,
+        rcfg,
         rec,
-    );
-    Ok((out, report, stats))
+        |cells, iters| reference_2d(stages_per_iter, (nx, ny), cells, iters),
+    )?;
+    Ok((Batch2D::from_vec(nx, ny, b, out), report, stats))
 }
 
 /// Checkpoint/rollback variant of [`crate::resilient::simulate_3d_resilient`] (see
@@ -641,80 +506,26 @@ pub(crate) fn simulate_3d_recoverable_core<T, K, E>(
 ) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError>
 where
     T: Element,
-    K: StencilOp3D<T> + Clone,
+    K: StencilOp3D<T>,
     E: Engine3D<T, K>,
 {
-    let Some(max_retries) = rollback_budget(rcfg.policy) else {
-        let (out, rep) = simulate_3d_resilient_core(
-            engine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        )?;
-        return Ok((out, rep, RecoveryStats::default()));
-    };
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
     let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_mode(design, b)?;
     let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, inj, policy)?;
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let stream_planes = b * nz;
-    let budget = pass_budget(design, stream_planes as u64, plane_cycles);
-
-    let mesh_bytes = (input.as_slice().len() * T::size_bytes()) as u64;
-    let prm = RecoverParams::from_config(
-        rcfg,
-        max_retries,
-        "",
-        checkpoint_cost_cycles(dev, design, mesh_bytes),
-        abft_check_cycles(input.as_slice().len() as u64, design.v),
-        budget.saturating_sub(1),
-    );
-    let (out, stats) = recover_core_3d(
-        engine,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        plane_cycles,
-        budget,
-        &prm,
-    )
-    .map_err(|e| match e {
-        ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-        other => other,
-    })?;
-    let report = finalize(
+    let (out, report, stats) = recoverable(
         dev,
         design,
-        fp.plan,
-        niter as u64,
-        mesh_bytes,
-        &stats,
-        fp.extra_axi_cycles,
-        fp.bursts_recovered,
-        inj.injected(),
+        stages_per_iter,
+        |k, units, mesh| engine.stage(k, nx, ny, units, mesh),
+        input.as_slice(),
+        &wl,
+        niter,
+        inj,
+        policy,
+        rcfg,
         rec,
-    );
-    Ok((out, report, stats))
+        |cells, iters| reference_3d(stages_per_iter, (nx, ny, nz), cells, iters),
+    )?;
+    Ok((Batch3D::from_vec(nx, ny, nz, b, out), report, stats))
 }
 
 /// SplitMix64 finalizer used to derive independent per-mesh fault seeds.
@@ -732,6 +543,61 @@ pub fn derive_mesh_plan(base: &FaultPlan, mesh_index: usize) -> FaultPlan {
         seed: mix(base.seed ^ (mesh_index as u64).wrapping_mul(0xa076_1d64_78bd_642f)),
         ..*base
     }
+}
+
+/// The dimension-agnostic batch-parallel recoverable executor: every mesh
+/// of the flat batch `input` runs [`recover_core`] as one work item with
+/// its own derived injector; stages come from `make_stage(k, mesh_units)`.
+#[allow(clippy::too_many_arguments)]
+fn batch_recoverable<T: Element, K: Sync, S: Stage<T>>(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    stages_per_iter: &[K],
+    make_stage: impl Fn(&K, usize) -> S + Sync,
+    input: &[T],
+    wl: &Workload,
+    niter: usize,
+    base_plan: &FaultPlan,
+    policy: &RetryPolicy,
+    rcfg: &RecoveryConfig,
+    jobs: usize,
+    rec: &mut Recorder,
+    reference: impl Fn(&[T], usize) -> Vec<T> + Sync,
+) -> Result<(Vec<T>, SimReport, RecoveryStats), ExecError> {
+    let Some(max_retries) = rollback_budget(rcfg.policy) else {
+        return Err(ExecError::Unsupported {
+            detail: "batch-parallel recovery requires the rollback policy".to_string(),
+        });
+    };
+    check_run(design, wl, stages_per_iter.len(), niter, false)?;
+    let mut axi_inj = FaultInjector::new(*base_plan);
+    let fp = plan_with_faults(dev, design, wl, niter as u64, &mut axi_inj, policy)?;
+    let mesh_wl = wl.with_batch(1);
+    let mesh_units = wl.stream_units().1;
+
+    let meshes: Vec<&[T]> = input.chunks(wl.cells() as usize).collect();
+    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
+        let mut inj = FaultInjector::new(derive_mesh_plan(base_plan, i));
+        let prm =
+            RecoverParams::new::<T>(dev, design, &mesh_wl, rcfg, max_retries, format!("mesh{i}_"));
+        let make = |k: &K| make_stage(k, mesh_units);
+        let r =
+            recover_core(design, stages_per_iter, make, mesh, niter, &mut inj, &prm, &reference);
+        (r, inj.injected())
+    });
+
+    let mut out = Vec::with_capacity(input.len());
+    let mut stats = RecoveryStats::default();
+    let mut injected = axi_inj.injected();
+    for (r, inj_n) in results {
+        let (mesh_out, mesh_stats) = r.map_err(|e| e.with_stalls(rec))?;
+        out.extend_from_slice(&mesh_out);
+        stats.merge(&mesh_stats);
+        injected += inj_n;
+    }
+    let mesh_bytes = wl.cells() * T::size_bytes() as u64;
+    let report = finalize(dev, design, fp, niter as u64, mesh_bytes, &stats, injected, rec);
+    Ok((out, report, stats))
 }
 
 /// Checkpoint/rollback variant of
@@ -787,88 +653,27 @@ pub(crate) fn simulate_batch_2d_recoverable_core<T, K, E>(
 ) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError>
 where
     T: Element,
-    K: StencilOp2D<T> + Clone + Sync,
+    K: StencilOp2D<T>,
     E: Engine2D<T, K> + Sync,
 {
-    let Some(max_retries) = rollback_budget(rcfg.policy) else {
-        return Err(ExecError::Unsupported {
-            detail: "batch-parallel recovery requires the rollback policy".to_string(),
-        });
-    };
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
     let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_mode(design, b)?;
     let wl = Workload::D2 { nx, ny, batch: b };
-    let mut axi_inj = FaultInjector::new(*base_plan);
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, &mut axi_inj, policy)?;
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let budget = pass_budget(design, ny as u64, rc);
-    let mesh_cells = nx * ny;
-    let mesh_bytes = (mesh_cells * T::size_bytes()) as u64;
-
-    let meshes: Vec<Mesh2D<T>> = (0..b).map(|i| input.mesh(i)).collect();
-    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
-        let mut inj = FaultInjector::new(derive_mesh_plan(base_plan, i));
-        let prm = RecoverParams::from_config(
-            rcfg,
-            max_retries,
-            &format!("mesh{i}_"),
-            checkpoint_cost_cycles(dev, design, mesh_bytes),
-            abft_check_cycles(mesh_cells as u64, design.v),
-            budget.saturating_sub(1),
-        );
-        let single = Batch2D::from_meshes(std::slice::from_ref(&mesh));
-        let r = recover_core_2d(
-            engine,
-            design,
-            stages_per_iter,
-            &single,
-            niter,
-            &mut inj,
-            rc,
-            budget,
-            &prm,
-        );
-        (r, inj.injected())
-    });
-
-    let mut out = Batch2D::<T>::zeros(nx, ny, b);
-    let mut stats = RecoveryStats::default();
-    let mut injected = axi_inj.injected();
-    for (i, (r, inj_n)) in results.into_iter().enumerate() {
-        let (mesh_out, mesh_stats) = r.map_err(|e| match e {
-            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-            other => other,
-        })?;
-        out.as_mut_slice()[i * mesh_cells..(i + 1) * mesh_cells]
-            .copy_from_slice(mesh_out.as_slice());
-        stats.merge(&mesh_stats);
-        injected += inj_n;
-    }
-    let report = finalize(
+    let (out, report, stats) = batch_recoverable(
         dev,
         design,
-        fp.plan,
-        niter as u64,
-        mesh_bytes,
-        &stats,
-        fp.extra_axi_cycles,
-        fp.bursts_recovered,
-        injected,
+        stages_per_iter,
+        |k, mesh| engine.stage(k, nx, mesh, mesh),
+        input.as_slice(),
+        &wl,
+        niter,
+        base_plan,
+        policy,
+        rcfg,
+        jobs,
         rec,
-    );
-    Ok((out, report, stats))
+        |cells, iters| reference_2d(stages_per_iter, (nx, ny), cells, iters),
+    )?;
+    Ok((Batch2D::from_vec(nx, ny, b, out), report, stats))
 }
 
 /// 3D twin of [`simulate_batch_2d_recoverable`].
@@ -917,88 +722,27 @@ pub(crate) fn simulate_batch_3d_recoverable_core<T, K, E>(
 ) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError>
 where
     T: Element,
-    K: StencilOp3D<T> + Clone + Sync,
+    K: StencilOp3D<T>,
     E: Engine3D<T, K> + Sync,
 {
-    let Some(max_retries) = rollback_budget(rcfg.policy) else {
-        return Err(ExecError::Unsupported {
-            detail: "batch-parallel recovery requires the rollback policy".to_string(),
-        });
-    };
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
     let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_mode(design, b)?;
     let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let mut axi_inj = FaultInjector::new(*base_plan);
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, &mut axi_inj, policy)?;
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let budget = pass_budget(design, nz as u64, plane_cycles);
-    let mesh_cells = nx * ny * nz;
-    let mesh_bytes = (mesh_cells * T::size_bytes()) as u64;
-
-    let meshes: Vec<Mesh3D<T>> = (0..b).map(|i| input.mesh(i)).collect();
-    let results = sf_par::par_map(jobs, meshes, |i, mesh| {
-        let mut inj = FaultInjector::new(derive_mesh_plan(base_plan, i));
-        let prm = RecoverParams::from_config(
-            rcfg,
-            max_retries,
-            &format!("mesh{i}_"),
-            checkpoint_cost_cycles(dev, design, mesh_bytes),
-            abft_check_cycles(mesh_cells as u64, design.v),
-            budget.saturating_sub(1),
-        );
-        let single = Batch3D::from_meshes(std::slice::from_ref(&mesh));
-        let r = recover_core_3d(
-            engine,
-            design,
-            stages_per_iter,
-            &single,
-            niter,
-            &mut inj,
-            plane_cycles,
-            budget,
-            &prm,
-        );
-        (r, inj.injected())
-    });
-
-    let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-    let mut stats = RecoveryStats::default();
-    let mut injected = axi_inj.injected();
-    for (i, (r, inj_n)) in results.into_iter().enumerate() {
-        let (mesh_out, mesh_stats) = r.map_err(|e| match e {
-            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-            other => other,
-        })?;
-        out.as_mut_slice()[i * mesh_cells..(i + 1) * mesh_cells]
-            .copy_from_slice(mesh_out.as_slice());
-        stats.merge(&mesh_stats);
-        injected += inj_n;
-    }
-    let report = finalize(
+    let (out, report, stats) = batch_recoverable(
         dev,
         design,
-        fp.plan,
-        niter as u64,
-        mesh_bytes,
-        &stats,
-        fp.extra_axi_cycles,
-        fp.bursts_recovered,
-        injected,
+        stages_per_iter,
+        |k, mesh| engine.stage(k, nx, ny, mesh, mesh),
+        input.as_slice(),
+        &wl,
+        niter,
+        base_plan,
+        policy,
+        rcfg,
+        jobs,
         rec,
-    );
-    Ok((out, report, stats))
+        |cells, iters| reference_3d(stages_per_iter, (nx, ny, nz), cells, iters),
+    )?;
+    Ok((Batch3D::from_vec(nx, ny, nz, b, out), report, stats))
 }
 
 #[cfg(test)]

@@ -1,293 +1,32 @@
 //! Fault-aware execution: the plain executors with every panic replaced by a
 //! typed [`ExecError`] and every datapath guarded by the `sf-faults` hooks.
 //!
-//! The resilient chain runners mirror [`crate::window::run_chain_2d_traced`] /
-//! `run_chain_3d_traced`, consulting a [`FaultInjector`] at each opportunity
-//! point:
-//!
-//! * **window-buffer cells** — a [`FaultKind::BitFlip`](sf_faults::FaultKind)
-//!   flips one bit of one lane before the cell enters the first window
-//!   buffer; the run completes but the output checksum vs the golden
-//!   reference catches it.
-//! * **stream elements** — `FifoDrop` starves the downstream stages, which
-//!   the [`Watchdog`] reports as a deadlock with a structured diagnosis;
-//!   `FifoDup` overflows the input FIFO (the surplus element is discarded at
-//!   the full queue) and shifts the stream; `FifoCorrupt` mangles a payload.
-//! * **AXI bursts** — `AxiDelay`/`AxiFail` go through the
-//!   [`RetryPolicy`] backoff model: recovered bursts charge their extra
-//!   cycles to the [`CyclePlan`] (and telemetry), an exhausted retry budget
-//!   becomes [`ExecError::AxiExhausted`].
+//! The passes stream through [`crate::window::run_passes`] with
+//! [`ChainFaults`] attached, so the one chain runner consults a
+//! [`FaultInjector`] at each window-buffer cell and stream element (bit
+//! flips, FIFO drops, duplicates and corruption) and a per-pass
+//! [`sf_faults::Watchdog`] turns a wedged pipeline into
+//! [`ExecError::Deadlock`]. **AXI bursts** — `AxiDelay`/`AxiFail` go
+//! through the [`RetryPolicy`] backoff model: recovered bursts charge
+//! their extra cycles to the [`CyclePlan`] (and telemetry), an exhausted
+//! retry budget becomes [`ExecError::AxiExhausted`].
 //!
 //! With a [`FaultInjector::disabled`] injector the resilient executors are
 //! bit-exact with the plain ones.
 
 use crate::cycles::{self, CyclePlan};
-use crate::design::{ExecMode, StencilDesign, Workload};
+use crate::design::{StencilDesign, Workload};
 use crate::device::FpgaDevice;
-use crate::error::ExecError;
+use crate::error::{check_run, ExecError};
 use crate::power;
 use crate::report::SimReport;
-use crate::window::{Engine2D, Engine3D, ScalarEngine, Stage2D, Stage3D};
-use sf_faults::{AxiVerdict, FaultInjector, RetryPolicy, StreamFault, Watchdog};
+use crate::window::{
+    pass_sizes, run_passes, ChainFaults, Engine2D, Engine3D, ScalarEngine, Stage, Stamps,
+};
+use sf_faults::{AxiVerdict, FaultInjector, RetryPolicy};
 use sf_kernels::{StencilOp2D, StencilOp3D};
 use sf_mesh::{Batch2D, Batch3D, Element};
 use sf_telemetry::Recorder;
-
-/// Flip bit `bit` of lane `lane` of `cell` in a streamed unit.
-fn apply_bitflip<T: Element>(unit: &mut [T], cell: usize, lane: usize, bit: u32) {
-    let mut v = unit[cell];
-    let bits = v.lane(lane).to_bits() ^ (1u32 << (bit % 32));
-    v.set_lane(lane, f32::from_bits(bits));
-    unit[cell] = v;
-}
-
-/// Deterministic payload corruption for `FifoCorrupt`: mangle the mantissa
-/// of the middle cell's first lane.
-fn corrupt_unit<T: Element>(unit: &mut [T]) {
-    let mid = unit.len() / 2;
-    apply_bitflip(unit, mid, 0, 22);
-}
-
-/// Fault-aware variant of [`crate::window::run_chain_2d`]: streams `rows`
-/// through the chain, consulting `inj` per stream unit and reporting forward
-/// progress to `dog`. Dropped units starve the pipeline and surface as
-/// [`ExecError::Deadlock`]; duplicated/corrupted/bit-flipped units complete
-/// with wrong data (caught downstream by checksum).
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_2d_resilient<T: Element, K: StencilOp2D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-    inj: &mut FaultInjector,
-    dog: &mut Watchdog,
-    cycles_per_row: u64,
-) -> Result<Vec<Vec<T>>, ExecError> {
-    run_chain_2d_resilient_engine(
-        &ScalarEngine,
-        chain,
-        nx,
-        stream_rows,
-        mesh_ny,
-        rows,
-        inj,
-        dog,
-        cycles_per_row,
-    )
-}
-
-/// [`run_chain_2d_resilient`] for any [`Engine2D`]: injection points,
-/// watchdog accounting and drain order are independent of the stage
-/// implementation, so scalar and fast runs trip the same faults at the same
-/// stream offsets.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_2d_resilient_engine<T: Element, K, E: Engine2D<T, K>>(
-    engine: &E,
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-    inj: &mut FaultInjector,
-    dog: &mut Watchdog,
-    cycles_per_row: u64,
-) -> Result<Vec<Vec<T>>, ExecError> {
-    let mut procs: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, nx, stream_rows, mesh_ny)).collect();
-    let mut out = Vec::with_capacity(stream_rows);
-
-    fn feed<T: Element, S: Stage2D<T>>(
-        procs: &mut [S],
-        from: usize,
-        row: Vec<T>,
-        out: &mut Vec<Vec<T>>,
-    ) {
-        let mut current = row;
-        for p in procs[from..].iter_mut() {
-            match p.push_row(current) {
-                Some(r) => current = r,
-                None => return,
-            }
-        }
-        out.push(current);
-    }
-
-    let mut fed = 0usize;
-    let mut j = 0u64;
-    for mut row in rows {
-        let cycle = j * cycles_per_row;
-        if let Some(flip) = inj.window_bitflip(0, j as usize, nx, T::LANES) {
-            apply_bitflip(&mut row, flip.cell, flip.lane, flip.bit);
-        }
-        let fault = inj.stream_fault(j as usize);
-        j += 1;
-        let copies: usize = match fault {
-            StreamFault::Drop => 0,
-            StreamFault::Dup => 2,
-            StreamFault::Corrupt => {
-                corrupt_unit(&mut row);
-                1
-            }
-            StreamFault::None => 1,
-        };
-        for c in 0..copies {
-            if fed == stream_rows {
-                // Input FIFO already holds the whole stream: the surplus
-                // element is discarded at the full queue.
-                break;
-            }
-            let r = if c + 1 < copies { row.clone() } else { std::mem::take(&mut row) };
-            let before = out.len();
-            feed(&mut procs, 0, r, &mut out);
-            fed += 1;
-            if out.len() > before {
-                dog.observe(cycle, (out.len() - before) as u64);
-            }
-        }
-        dog.check(cycle, "streaming input rows")?;
-    }
-    let end_cycle = j * cycles_per_row;
-    if fed < stream_rows {
-        // The stages wait forever for the missing rows — a starvation
-        // deadlock on real hardware; report it via the watchdog.
-        let detail = format!("input stream starved: {fed}/{stream_rows} rows reached the pipeline");
-        return Err(dog
-            .finish(end_cycle, &detail)
-            .expect_err("starved stream cannot have emitted the full output")
-            .into());
-    }
-    for i in 0..procs.len() {
-        let trailing = procs[i].finish();
-        for row in trailing {
-            let before = out.len();
-            feed(&mut procs, i + 1, row, &mut out);
-            if out.len() > before {
-                dog.observe(end_cycle, (out.len() - before) as u64);
-            }
-        }
-    }
-    dog.finish(end_cycle, "chain drained")?;
-    Ok(out)
-}
-
-/// Fault-aware variant of [`crate::window::run_chain_3d`] — the streamed
-/// unit is a plane of `nx × ny` cells.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_3d_resilient<T: Element, K: StencilOp3D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-    inj: &mut FaultInjector,
-    dog: &mut Watchdog,
-    cycles_per_plane: u64,
-) -> Result<Vec<Vec<T>>, ExecError> {
-    run_chain_3d_resilient_engine(
-        &ScalarEngine,
-        chain,
-        nx,
-        ny,
-        stream_planes,
-        mesh_nz,
-        planes,
-        inj,
-        dog,
-        cycles_per_plane,
-    )
-}
-
-/// [`run_chain_3d_resilient`] for any [`Engine3D`] (see
-/// [`run_chain_2d_resilient_engine`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_3d_resilient_engine<T: Element, K, E: Engine3D<T, K>>(
-    engine: &E,
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-    inj: &mut FaultInjector,
-    dog: &mut Watchdog,
-    cycles_per_plane: u64,
-) -> Result<Vec<Vec<T>>, ExecError> {
-    let mut procs: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, nx, ny, stream_planes, mesh_nz)).collect();
-    let mut out = Vec::with_capacity(stream_planes);
-
-    fn feed<T: Element, S: Stage3D<T>>(
-        procs: &mut [S],
-        from: usize,
-        plane: Vec<T>,
-        out: &mut Vec<Vec<T>>,
-    ) {
-        let mut current = plane;
-        for p in procs[from..].iter_mut() {
-            match p.push_plane(current) {
-                Some(r) => current = r,
-                None => return,
-            }
-        }
-        out.push(current);
-    }
-
-    let mut fed = 0usize;
-    let mut j = 0u64;
-    for mut plane in planes {
-        let cycle = j * cycles_per_plane;
-        if let Some(flip) = inj.window_bitflip(0, j as usize, nx * ny, T::LANES) {
-            apply_bitflip(&mut plane, flip.cell, flip.lane, flip.bit);
-        }
-        let fault = inj.stream_fault(j as usize);
-        j += 1;
-        let copies: usize = match fault {
-            StreamFault::Drop => 0,
-            StreamFault::Dup => 2,
-            StreamFault::Corrupt => {
-                corrupt_unit(&mut plane);
-                1
-            }
-            StreamFault::None => 1,
-        };
-        for c in 0..copies {
-            if fed == stream_planes {
-                break;
-            }
-            let r = if c + 1 < copies { plane.clone() } else { std::mem::take(&mut plane) };
-            let before = out.len();
-            feed(&mut procs, 0, r, &mut out);
-            fed += 1;
-            if out.len() > before {
-                dog.observe(cycle, (out.len() - before) as u64);
-            }
-        }
-        dog.check(cycle, "streaming input planes")?;
-    }
-    let end_cycle = j * cycles_per_plane;
-    if fed < stream_planes {
-        let detail =
-            format!("input stream starved: {fed}/{stream_planes} planes reached the pipeline");
-        return Err(dog
-            .finish(end_cycle, &detail)
-            .expect_err("starved stream cannot have emitted the full output")
-            .into());
-    }
-    for i in 0..procs.len() {
-        let trailing = procs[i].finish();
-        for plane in trailing {
-            let before = out.len();
-            feed(&mut procs, i + 1, plane, &mut out);
-            if out.len() > before {
-                dog.observe(end_cycle, (out.len() - before) as u64);
-            }
-        }
-    }
-    dog.finish(end_cycle, "chain drained")?;
-    Ok(out)
-}
 
 /// A [`CyclePlan`] with the AXI fault/retry model applied.
 #[derive(Clone, Debug, PartialEq)]
@@ -346,25 +85,53 @@ pub fn plan_with_faults(
     Ok(FaultyPlan { plan, extra_axi_cycles: extra, bursts_recovered: recovered, bursts_total })
 }
 
-pub(crate) fn check_mode(design: &StencilDesign, b: usize) -> Result<(), ExecError> {
-    match design.mode {
-        ExecMode::Baseline if b != 1 => Err(ExecError::ShapeMismatch {
-            detail: format!("baseline design runs one mesh, got batch {b}"),
-        }),
-        ExecMode::Batched { b: db } if b != db => {
-            Err(ExecError::ShapeMismatch { detail: format!("design batch {db} fed batch {b}") })
-        }
-        ExecMode::Tiled1D { .. } | ExecMode::Tiled2D { .. } => Err(ExecError::Unsupported {
-            detail: "fault injection targets whole-mesh streaming designs".to_string(),
-        }),
-        _ => Ok(()),
-    }
-}
-
 /// Watchdog budget for one pass: a full pass worth of cycles with no
 /// forward progress means the pipeline is wedged.
 pub(crate) fn pass_budget(design: &StencilDesign, stream_units: u64, unit_cycles: u64) -> u64 {
     unit_cycles * (stream_units + cycles::fill_units(design)) + design.pipeline_latency_cycles + 1
+}
+
+/// The dimension-agnostic fault-aware executor: streams the flat batch
+/// `input` of workload `wl` as one stream through stages built by
+/// `make_stage(k, stream_units, mesh_units)`, fault hooks attached and the
+/// recorder left untraced.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn resilient<T: Element, K, S: Stage<T>>(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    stages_per_iter: &[K],
+    make_stage: impl Fn(&K, usize, usize) -> S,
+    input: &[T],
+    wl: &Workload,
+    niter: usize,
+    inj: &mut FaultInjector,
+    policy: &RetryPolicy,
+    rec: &mut Recorder,
+) -> Result<(Vec<T>, SimReport), ExecError> {
+    check_run(design, wl, stages_per_iter.len(), niter, false)?;
+    let fp = plan_with_faults(dev, design, wl, niter as u64, inj, policy)?;
+    let (unit_len, mesh_units) = wl.stream_units();
+    let units = wl.batch() * mesh_units;
+    let unit_cycles = cycles::unit_cycles(dev, design, wl);
+    let mut faults = ChainFaults::new(inj, pass_budget(design, units as u64, unit_cycles));
+    let out = run_passes(
+        input,
+        unit_len,
+        &pass_sizes(design, niter),
+        stages_per_iter,
+        |k| make_stage(k, units, mesh_units),
+        &mut Recorder::disabled(),
+        Stamps { prefix: "", base_cycle: 0, unit_cycles },
+        Some(&mut faults),
+    );
+    let out = faults.result(out).map_err(|e| e.with_stalls(rec))?;
+
+    rec.counter_add("fault.injected", inj.injected());
+    rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
+    rec.counter_add("fault.axi.recovered", fp.bursts_recovered);
+    let report =
+        SimReport::from_plan(design, &fp.plan, niter as u64, power::fpga_power_w(dev, design));
+    Ok((out, report))
 }
 
 /// Fault-aware [`crate::exec2d::simulate_2d`]: never panics on datapath
@@ -396,7 +163,7 @@ pub fn simulate_2d_resilient<T: Element, K: StencilOp2D<T> + Clone>(
 
 /// Engine-generic body of [`simulate_2d_resilient`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_2d_resilient_core<T: Element, K: Clone, E: Engine2D<T, K>>(
+pub(crate) fn simulate_2d_resilient_core<T: Element, K, E: Engine2D<T, K>>(
     engine: &E,
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -407,62 +174,22 @@ pub(crate) fn simulate_2d_resilient_core<T: Element, K: Clone, E: Engine2D<T, K>
     policy: &RetryPolicy,
     rec: &mut Recorder,
 ) -> Result<(Batch2D<T>, SimReport), ExecError> {
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
     let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
-    check_mode(design, b)?;
     let wl = Workload::D2 { nx, ny, batch: b };
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, inj, policy)?;
-    let rc = cycles::design_row_cycles(dev, design, nx, nx);
-    let stream_rows = b * ny;
-    let budget = pass_budget(design, stream_rows as u64, rc);
-
-    let mut cur = input.clone();
-    let mut remaining = niter;
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let mut dog = Watchdog::new(budget, stream_rows as u64);
-        let rows = cur.as_slice().chunks(nx).map(|r| r.to_vec());
-        let out_rows = run_chain_2d_resilient_engine(
-            engine,
-            &chain,
-            nx,
-            stream_rows,
-            ny,
-            rows,
-            inj,
-            &mut dog,
-            rc,
-        )
-        .map_err(|e| match e {
-            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-            other => other,
-        })?;
-        let mut out = Batch2D::<T>::zeros(nx, ny, b);
-        for (gy, row) in out_rows.into_iter().enumerate() {
-            out.as_mut_slice()[gy * nx..(gy + 1) * nx].copy_from_slice(&row);
-        }
-        cur = out;
-        remaining -= p_eff;
-    }
-
-    rec.counter_add("fault.injected", inj.injected());
-    rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
-    rec.counter_add("fault.axi.recovered", fp.bursts_recovered);
-    let report =
-        SimReport::from_plan(design, &fp.plan, niter as u64, power::fpga_power_w(dev, design));
-    Ok((cur, report))
+    let make = |k: &K, units, mesh| engine.stage(k, nx, units, mesh);
+    let (out, report) = resilient(
+        dev,
+        design,
+        stages_per_iter,
+        make,
+        input.as_slice(),
+        &wl,
+        niter,
+        inj,
+        policy,
+        rec,
+    )?;
+    Ok((Batch2D::from_vec(nx, ny, b, out), report))
 }
 
 /// Fault-aware [`crate::exec3d::simulate_3d`] (see
@@ -493,7 +220,7 @@ pub fn simulate_3d_resilient<T: Element, K: StencilOp3D<T> + Clone>(
 
 /// Engine-generic body of [`simulate_3d_resilient`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_3d_resilient_core<T: Element, K: Clone, E: Engine3D<T, K>>(
+pub(crate) fn simulate_3d_resilient_core<T: Element, K, E: Engine3D<T, K>>(
     engine: &E,
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -504,70 +231,28 @@ pub(crate) fn simulate_3d_resilient_core<T: Element, K: Clone, E: Engine3D<T, K>
     policy: &RetryPolicy,
     rec: &mut Recorder,
 ) -> Result<(Batch3D<T>, SimReport), ExecError> {
-    if niter == 0 {
-        return Err(ExecError::ShapeMismatch { detail: "niter must be positive".to_string() });
-    }
-    if stages_per_iter.len() != design.spec.stages {
-        return Err(ExecError::ShapeMismatch {
-            detail: format!(
-                "design expects {} stages per iteration, got {}",
-                design.spec.stages,
-                stages_per_iter.len()
-            ),
-        });
-    }
     let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
-    check_mode(design, b)?;
     let wl = Workload::D3 { nx, ny, nz, batch: b };
-    let fp = plan_with_faults(dev, design, &wl, niter as u64, inj, policy)?;
-    let plane = nx * ny;
-    let plane_cycles = cycles::design_row_cycles(dev, design, nx, nx) * ny as u64;
-    let stream_planes = b * nz;
-    let budget = pass_budget(design, stream_planes as u64, plane_cycles);
-
-    let mut cur = input.clone();
-    let mut remaining = niter;
-    while remaining > 0 {
-        let p_eff = design.p.min(remaining);
-        let chain: Vec<K> = (0..p_eff).flat_map(|_| stages_per_iter.iter().cloned()).collect();
-        let mut dog = Watchdog::new(budget, stream_planes as u64);
-        let planes = cur.as_slice().chunks(plane).map(|p| p.to_vec());
-        let out_planes = run_chain_3d_resilient_engine(
-            engine,
-            &chain,
-            nx,
-            ny,
-            stream_planes,
-            nz,
-            planes,
-            inj,
-            &mut dog,
-            plane_cycles,
-        )
-        .map_err(|e| match e {
-            ExecError::Deadlock(t) => ExecError::Deadlock(t.with_stalls(&rec.stall_breakdown())),
-            other => other,
-        })?;
-        let mut out = Batch3D::<T>::zeros(nx, ny, nz, b);
-        for (gz, pl) in out_planes.into_iter().enumerate() {
-            out.as_mut_slice()[gz * plane..(gz + 1) * plane].copy_from_slice(&pl);
-        }
-        cur = out;
-        remaining -= p_eff;
-    }
-
-    rec.counter_add("fault.injected", inj.injected());
-    rec.counter_add("fault.axi.extra_cycles", fp.extra_axi_cycles);
-    rec.counter_add("fault.axi.recovered", fp.bursts_recovered);
-    let report =
-        SimReport::from_plan(design, &fp.plan, niter as u64, power::fpga_power_w(dev, design));
-    Ok((cur, report))
+    let make = |k: &K, units, mesh| engine.stage(k, nx, ny, units, mesh);
+    let (out, report) = resilient(
+        dev,
+        design,
+        stages_per_iter,
+        make,
+        input.as_slice(),
+        &wl,
+        niter,
+        inj,
+        policy,
+        rec,
+    )?;
+    Ok((Batch3D::from_vec(nx, ny, nz, b, out), report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{synthesize, MemKind};
+    use crate::design::{synthesize, ExecMode, MemKind};
     use sf_faults::{FaultKind, FaultPlan};
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
     use sf_mesh::{norms, Mesh2D, Mesh3D};

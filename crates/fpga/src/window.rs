@@ -1,5 +1,5 @@
-//! Window buffers and streaming stage processors — the behavioral heart of
-//! the dataflow simulator.
+//! Window buffers, streaming stage processors and the one streaming core
+//! every executor runs — the behavioral heart of the dataflow simulator.
 //!
 //! An HLS stencil pipeline streams the mesh in row-major order and keeps the
 //! last `D` rows (2D) or planes (3D) in on-chip cyclic buffers so every
@@ -14,14 +14,24 @@
 //! own mesh (`mesh_extent`-periodic in the streaming dimension), so stencils
 //! never read across a batch seam.
 //!
-//! The chain runners are generic over an **execution engine**
-//! ([`Engine2D`]/[`Engine3D`]): a factory for the per-stage processors. The
-//! [`ScalarEngine`] builds the cell-at-a-time [`StageProcessor2D`]/
-//! [`StageProcessor3D`]; the vectorized fast path (`crate::fast`) plugs in
-//! lane-parallel processors through the same traits, so the streaming
-//! schedule, telemetry hooks and drain logic are shared — and therefore
-//! byte-identical — across both engines.
+//! Above the processors everything is dimension-agnostic: a 2D row and a
+//! 3D plane are both a *unit* of the stream, and every stage is a
+//! [`Stage`]. [`run_chain`] streams units through one chain — telemetry
+//! hooks always, fault hooks ([`ChainFaults`]) optionally — and
+//! [`run_passes`] drives one chain per pipeline pass ([`pass_sizes`]) over a
+//! flat mesh state. Every executor, plain, batch-parallel, fault-aware,
+//! recoverable, tiled or sharded, streams through these two functions.
+//!
+//! Stages come from an **execution engine** ([`Engine2D`]/[`Engine3D`]): a
+//! factory for the per-stage processors. The [`ScalarEngine`] builds the
+//! cell-at-a-time [`StageProcessor2D`]/[`StageProcessor3D`]; the vectorized
+//! fast path (`crate::fast`) plugs in lane-parallel processors, so the
+//! streaming schedule, telemetry hooks, fault hooks and drain logic are
+//! shared — and therefore byte-identical — across both engines.
 
+use crate::design::StencilDesign;
+use crate::error::ExecError;
+use sf_faults::{FaultInjector, StreamFault, Watchdog, WatchdogTrip};
 use sf_kernels::{StencilOp2D, StencilOp3D};
 use sf_mesh::Element;
 use sf_telemetry::{Recorder, TrackId};
@@ -243,33 +253,27 @@ impl<T: Element, K: StencilOp3D<T>> StageProcessor3D<T, K> {
     }
 }
 
-/// One streaming pipeline stage of a 2D chain, as seen by the chain
-/// runners: rows go in, ready rows come out, trailing rows drain at the
-/// end. Implemented by the scalar [`StageProcessor2D`] and the fast path's
-/// lane-parallel processor.
-pub trait Stage2D<T: Element> {
-    /// Feed the next input row; returns the output row that became ready
+/// One streaming pipeline stage, as seen by the chain runner: units (rows
+/// in 2D, planes in 3D) go in, ready units come out, trailing units drain
+/// at the end. Implemented by the scalar [`StageProcessor2D`] /
+/// [`StageProcessor3D`] and the fast path's lane-parallel processors.
+pub trait Stage<T: Element> {
+    /// Plural name of the streamed unit (`"rows"` or `"planes"`), used in
+    /// telemetry labels and watchdog diagnoses.
+    const UNITS: &'static str;
+    /// Feed the next input unit; returns the output unit that became ready
     /// (none while the window is filling).
-    fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>>;
-    /// After the last input row, drain the trailing output rows.
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>>;
+    /// After the last input unit, drain the trailing output units.
     fn finish(&mut self) -> Vec<Vec<T>>;
-    /// Rows currently held in the window buffer.
+    /// Units currently held in the window buffer.
     fn window_fill(&self) -> usize;
 }
 
-/// The 3D twin of [`Stage2D`]: the streamed unit is a plane.
-pub trait Stage3D<T: Element> {
-    /// Feed the next plane; returns the output plane that became ready.
-    fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>>;
-    /// Drain the trailing planes.
-    fn finish(&mut self) -> Vec<Vec<T>>;
-    /// Planes currently held in the window buffer.
-    fn window_fill(&self) -> usize;
-}
-
-impl<T: Element, K: StencilOp2D<T>> Stage2D<T> for StageProcessor2D<T, K> {
-    fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
-        StageProcessor2D::push_row(self, row)
+impl<T: Element, K: StencilOp2D<T>> Stage<T> for StageProcessor2D<T, K> {
+    const UNITS: &'static str = "rows";
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.push_row(unit)
     }
     fn finish(&mut self) -> Vec<Vec<T>> {
         StageProcessor2D::finish(self)
@@ -279,9 +283,10 @@ impl<T: Element, K: StencilOp2D<T>> Stage2D<T> for StageProcessor2D<T, K> {
     }
 }
 
-impl<T: Element, K: StencilOp3D<T>> Stage3D<T> for StageProcessor3D<T, K> {
-    fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
-        StageProcessor3D::push_plane(self, plane)
+impl<T: Element, K: StencilOp3D<T>> Stage<T> for StageProcessor3D<T, K> {
+    const UNITS: &'static str = "planes";
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.push_plane(unit)
     }
     fn finish(&mut self) -> Vec<Vec<T>> {
         StageProcessor3D::finish(self)
@@ -292,12 +297,12 @@ impl<T: Element, K: StencilOp3D<T>> Stage3D<T> for StageProcessor3D<T, K> {
 }
 
 /// An execution engine for 2D chains: a factory turning one kernel of the
-/// chain into a streaming stage. The chain runners own everything else
-/// (feed cascade, telemetry, drain), so two engines that build
+/// chain into a streaming stage. The chain runner owns everything else
+/// (feed cascade, telemetry, faults, drain), so two engines that build
 /// cell-for-cell-equal stages produce byte-identical runs.
 pub trait Engine2D<T: Element, K> {
     /// The stage processor this engine builds.
-    type Stage: Stage2D<T>;
+    type Stage: Stage<T>;
     /// Build the stage for kernel `k` over a stream of `stream_rows` rows
     /// of `nx` cells, `mesh_ny` rows per independent mesh.
     fn stage(&self, k: &K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self::Stage;
@@ -306,7 +311,7 @@ pub trait Engine2D<T: Element, K> {
 /// The 3D twin of [`Engine2D`].
 pub trait Engine3D<T: Element, K> {
     /// The stage processor this engine builds.
-    type Stage: Stage3D<T>;
+    type Stage: Stage<T>;
     /// Build the stage for kernel `k` over a stream of `stream_planes`
     /// planes of `nx × ny` cells, `mesh_nz` planes per independent mesh.
     fn stage(
@@ -344,27 +349,280 @@ impl<T: Element, K: StencilOp3D<T> + Clone> Engine3D<T, K> for ScalarEngine {
     }
 }
 
-/// Per-stage telemetry state shared by the traced chain runners.
+/// Telemetry placement of a chain run: per-stage swimlanes named
+/// `{prefix}stage:{i}`, and input unit `j` stamped at cycle
+/// `base_cycle + j · unit_cycles` (the streaming schedule).
+#[derive(Copy, Clone, Debug, Default)]
+pub struct Stamps<'a> {
+    /// Track-name prefix of the per-stage swimlanes.
+    pub prefix: &'a str,
+    /// Cycle at which the first input unit arrives.
+    pub base_cycle: u64,
+    /// Cycles between consecutive input units.
+    pub unit_cycles: u64,
+}
+
+/// Fault hooks of a chain run: the injector consulted at every stream
+/// opportunity, the no-progress budget of the watchdog each chain run
+/// starts, and the watchdog trip that stopped the run, if any.
+///
+/// * **window-buffer cells** — a [`FaultKind::BitFlip`](sf_faults::FaultKind)
+///   flips one bit of one lane before the cell enters the first window
+///   buffer; the run completes but the output checksum vs the golden
+///   reference catches it.
+/// * **stream elements** — `FifoDrop` starves the downstream stages, which
+///   the [`Watchdog`] reports as a deadlock with a structured diagnosis;
+///   `FifoDup` overflows the input FIFO (the surplus element is discarded at
+///   the full queue) and shifts the stream; `FifoCorrupt` mangles a payload.
+pub struct ChainFaults<'a> {
+    inj: &'a mut FaultInjector,
+    budget: u64,
+    trip: Option<WatchdogTrip>,
+}
+
+impl<'a> ChainFaults<'a> {
+    /// Hooks consulting `inj`, each chain run watched with a budget of
+    /// `budget` cycles without forward progress.
+    pub fn new(inj: &'a mut FaultInjector, budget: u64) -> Self {
+        ChainFaults { inj, budget, trip: None }
+    }
+
+    /// `out` if every run completed, else the trip as
+    /// [`ExecError::Deadlock`].
+    ///
+    /// # Errors
+    /// [`ExecError::Deadlock`] if a watchdog tripped.
+    pub fn result<R>(self, out: R) -> Result<R, ExecError> {
+        match self.trip {
+            Some(t) => Err(ExecError::Deadlock(t)),
+            None => Ok(out),
+        }
+    }
+
+    /// Consult the injector for input unit `j`: apply a window bit flip or
+    /// a payload corruption in place, and return how many copies of the
+    /// unit reach the input FIFO (0 when dropped, 2 when duplicated).
+    fn inject<T: Element>(&mut self, unit: &mut [T], j: usize) -> usize {
+        if let Some(flip) = self.inj.window_bitflip(0, j, unit.len(), T::LANES) {
+            apply_bitflip(unit, flip.cell, flip.lane, flip.bit);
+        }
+        match self.inj.stream_fault(j) {
+            StreamFault::Drop => 0,
+            StreamFault::Dup => 2,
+            StreamFault::Corrupt => {
+                // Deterministic corruption: mangle the mantissa of the
+                // middle cell's first lane.
+                apply_bitflip(unit, unit.len() / 2, 0, 22);
+                1
+            }
+            StreamFault::None => 1,
+        }
+    }
+}
+
+/// Flip bit `bit` of lane `lane` of `cell` in a streamed unit.
+fn apply_bitflip<T: Element>(unit: &mut [T], cell: usize, lane: usize, bit: u32) {
+    let mut v = unit[cell];
+    let bits = v.lane(lane).to_bits() ^ (1u32 << (bit % 32));
+    v.set_lane(lane, f32::from_bits(bits));
+    unit[cell] = v;
+}
+
+/// Per-stage telemetry state of a chain run.
 struct StageTrace {
     track: TrackId,
     primed: bool,
 }
 
-fn stage_tracks(rec: &mut Recorder, prefix: &str, n: usize) -> Vec<StageTrace> {
-    (0..n)
+/// Push `unit` into stage `from`: an emitted unit continues down the chain,
+/// a buffered one stops. Returns whether a unit left the chain.
+fn feed<T: Element, S: Stage<T>>(
+    stages: &mut [S],
+    tr: &mut [StageTrace],
+    from: usize,
+    unit: Vec<T>,
+    out: &mut Vec<Vec<T>>,
+    rec: &mut Recorder,
+    cycle: u64,
+) -> bool {
+    let mut current = unit;
+    for (s, t) in stages[from..].iter_mut().zip(&mut tr[from..]) {
+        match s.push(current) {
+            Some(u) => {
+                if !t.primed {
+                    t.primed = true;
+                    rec.instant(t.track, "primed", cycle);
+                }
+                current = u;
+            }
+            None => {
+                rec.gauge(t.track, "window_fill", cycle, s.window_fill() as f64);
+                return false;
+            }
+        }
+    }
+    out.push(current);
+    true
+}
+
+/// Stream `units` through `stages` (the unrolled pipeline of Fig. 2) and
+/// collect the `stream_units` output units — the one chain runner.
+///
+/// Telemetry: per-stage fill gauges while each window primes, a "primed"
+/// instant when a stage first emits, a "drain" instant when its trailing
+/// units flush, and `window.{rows,planes}_streamed` /
+/// `window.drain_{rows,planes}` counters, stamped per [`Stamps`]. With a
+/// disabled recorder every hook is a single predictable branch.
+///
+/// With `faults`, the injector is consulted per input unit (bit flip, then
+/// stream fault) and a per-run [`Watchdog`] observes forward progress. A
+/// trip — no progress within the budget, a starved input stream, or a
+/// short stream at the end — stops the run early and is left in `faults`;
+/// the units emitted so far are returned.
+///
+/// # Panics
+/// Without `faults`, panics unless the chain emits exactly `stream_units`
+/// units.
+pub fn run_chain<T: Element, S: Stage<T>>(
+    mut stages: Vec<S>,
+    stream_units: usize,
+    units: impl Iterator<Item = Vec<T>>,
+    rec: &mut Recorder,
+    at: Stamps<'_>,
+    faults: Option<&mut ChainFaults<'_>>,
+) -> Vec<Vec<T>> {
+    let mut tr: Vec<StageTrace> = (0..stages.len())
         .map(|i| StageTrace {
             track: if rec.is_enabled() {
-                rec.track(&format!("{prefix}stage:{i}"))
+                rec.track(&format!("{}stage:{i}", at.prefix))
             } else {
                 TrackId(0)
             },
             primed: false,
         })
-        .collect()
+        .collect();
+    let mut guard = faults.map(|f| {
+        let dog = Watchdog::new(f.budget, stream_units as u64);
+        (f, dog)
+    });
+    let streaming = format!("streaming input {}", S::UNITS);
+    let mut out = Vec::with_capacity(stream_units);
+    let (mut j, mut fed) = (0u64, 0usize);
+    for mut unit in units {
+        let cycle = at.base_cycle + j * at.unit_cycles;
+        let copies = guard.as_mut().map_or(1, |(f, _)| f.inject(&mut unit, j as usize));
+        j += 1;
+        for c in 0..copies {
+            if guard.is_some() && fed == stream_units {
+                // Input FIFO already holds the whole stream: the surplus
+                // element is discarded at the full queue.
+                break;
+            }
+            let u = if c + 1 < copies { unit.clone() } else { std::mem::take(&mut unit) };
+            let emitted = feed(&mut stages, &mut tr, 0, u, &mut out, rec, cycle);
+            fed += 1;
+            if let (true, Some((_, dog))) = (emitted, guard.as_mut()) {
+                dog.observe(cycle, 1);
+            }
+        }
+        if let Some((f, dog)) = guard.as_mut() {
+            if let Err(t) = dog.check(cycle, &streaming) {
+                f.trip = Some(t);
+                return out;
+            }
+        }
+    }
+    rec.counter_add(&format!("window.{}_streamed", S::UNITS), j);
+    let end_cycle = at.base_cycle + j * at.unit_cycles;
+    if let Some((f, dog)) = guard.as_mut() {
+        if fed < stream_units {
+            // The stages wait forever for the missing units — a starvation
+            // deadlock on real hardware; report it via the watchdog.
+            let detail = format!(
+                "input stream starved: {fed}/{stream_units} {} reached the pipeline",
+                S::UNITS
+            );
+            f.trip = dog.finish(end_cycle, &detail).err();
+            return out;
+        }
+    }
+    // Flush stage by stage, cascading trailing units downstream.
+    let drained = format!("window.drain_{}", S::UNITS);
+    for i in 0..stages.len() {
+        let trailing = stages[i].finish();
+        rec.counter_add(&drained, trailing.len() as u64);
+        rec.instant(tr[i].track, "drain", end_cycle);
+        for u in trailing {
+            let emitted = feed(&mut stages, &mut tr, i + 1, u, &mut out, rec, end_cycle);
+            if let (true, Some((_, dog))) = (emitted, guard.as_mut()) {
+                dog.observe(end_cycle, 1);
+            }
+        }
+    }
+    if let Some((f, dog)) = guard.as_mut() {
+        if let Err(t) = dog.finish(end_cycle, "chain drained") {
+            f.trip = Some(t);
+            return out;
+        }
+    }
+    assert_eq!(out.len(), stream_units, "chain must emit the full stream");
+    out
 }
 
-/// Stream a row iterator through a chain of 2D stages (the unrolled pipeline
-/// of Fig. 2) and collect the final output rows.
+/// Iterations per pipeline pass: `niter` split into passes of at most the
+/// design's unroll depth `p`; only the last pass may be shorter.
+pub fn pass_sizes(design: &StencilDesign, niter: usize) -> Vec<usize> {
+    let mut passes = Vec::new();
+    let mut remaining = niter;
+    while remaining > 0 {
+        let p_eff = design.p.min(remaining);
+        passes.push(p_eff);
+        remaining -= p_eff;
+    }
+    passes
+}
+
+/// The kernels of one pass's chain: `stages_per_iter` repeated `p_eff`
+/// times (the fused pipeline unrolled `p_eff` deep).
+pub fn pass_chain<K>(stages_per_iter: &[K], p_eff: usize) -> impl Iterator<Item = &K> {
+    stages_per_iter.iter().cycle().take(p_eff * stages_per_iter.len())
+}
+
+/// The one pass loop: stream the flat state `input` (`unit_len` cells per
+/// unit) through one chain of `make_stage` stages per entry of `passes`,
+/// each pass starting from the previous pass's output, and return the
+/// final state. The first pass records into `rec` at `at`; later passes
+/// stream untraced, since the schedule repeats identically every pass.
+/// With `faults`, a watchdog trip stops the loop and stays in `faults`.
+#[allow(clippy::too_many_arguments)]
+pub fn run_passes<T: Element, K, S: Stage<T>>(
+    input: &[T],
+    unit_len: usize,
+    passes: &[usize],
+    stages_per_iter: &[K],
+    make_stage: impl Fn(&K) -> S,
+    rec: &mut Recorder,
+    at: Stamps<'_>,
+    mut faults: Option<&mut ChainFaults<'_>>,
+) -> Vec<T> {
+    let stream_units = input.len() / unit_len;
+    let mut state: Option<Vec<T>> = None;
+    let mut off = Recorder::disabled();
+    for (n, &p_eff) in passes.iter().enumerate() {
+        let chain = pass_chain(stages_per_iter, p_eff).map(&make_stage).collect();
+        let src = state.as_deref().unwrap_or(input);
+        let pass_rec = if n == 0 { &mut *rec } else { &mut off };
+        let units = src.chunks(unit_len).map(<[T]>::to_vec);
+        let out = run_chain(chain, stream_units, units, pass_rec, at, faults.as_deref_mut());
+        if faults.as_ref().is_some_and(|f| f.trip.is_some()) {
+            break;
+        }
+        state = Some(out.concat());
+    }
+    state.unwrap_or_else(|| input.to_vec())
+}
+
+/// Stream a row iterator through a chain of scalar 2D stages, untraced.
 pub fn run_chain_2d<T: Element, K: StencilOp2D<T> + Clone>(
     chain: &[K],
     nx: usize,
@@ -372,114 +630,12 @@ pub fn run_chain_2d<T: Element, K: StencilOp2D<T> + Clone>(
     mesh_ny: usize,
     rows: impl Iterator<Item = Vec<T>>,
 ) -> Vec<Vec<T>> {
-    run_chain_2d_traced(chain, nx, stream_rows, mesh_ny, rows, &mut Recorder::disabled(), "", 0, 1)
+    let stages =
+        chain.iter().map(|k| StageProcessor2D::new(k.clone(), nx, stream_rows, mesh_ny)).collect();
+    run_chain(stages, stream_rows, rows, &mut Recorder::disabled(), Stamps::default(), None)
 }
 
-/// [`run_chain_2d`] with window-buffer telemetry: per-stage fill gauges while
-/// each window primes, a "primed" instant when a stage first emits, a
-/// "drain" instant when its trailing rows flush, and row counters. Cycle
-/// stamps follow the streaming schedule: input unit `j` arrives at
-/// `base_cycle + j · cycles_per_row`. With a disabled recorder every hook
-/// is a single predictable branch.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_2d_traced<T: Element, K: StencilOp2D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-    cycles_per_row: u64,
-) -> Vec<Vec<T>> {
-    run_chain_2d_engine_traced(
-        &ScalarEngine,
-        chain,
-        nx,
-        stream_rows,
-        mesh_ny,
-        rows,
-        rec,
-        track_prefix,
-        base_cycle,
-        cycles_per_row,
-    )
-}
-
-/// [`run_chain_2d_traced`] for any [`Engine2D`]: the one streaming loop
-/// both the scalar and the fast path execute. Engine choice only swaps the
-/// per-stage processor; schedule, telemetry and drain are this function.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_2d_engine_traced<T: Element, K, E: Engine2D<T, K>>(
-    engine: &E,
-    chain: &[K],
-    nx: usize,
-    stream_rows: usize,
-    mesh_ny: usize,
-    rows: impl Iterator<Item = Vec<T>>,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-    cycles_per_row: u64,
-) -> Vec<Vec<T>> {
-    let mut procs: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, nx, stream_rows, mesh_ny)).collect();
-    let mut tr = stage_tracks(rec, track_prefix, procs.len());
-    let mut out = Vec::with_capacity(stream_rows);
-
-    // Iterative feed (equivalent to cascading recursion): push into stage
-    // `from`; an emitted row continues down the chain, a buffered row stops.
-    fn feed<T: Element, S: Stage2D<T>>(
-        procs: &mut [S],
-        tr: &mut [StageTrace],
-        from: usize,
-        row: Vec<T>,
-        out: &mut Vec<Vec<T>>,
-        rec: &mut Recorder,
-        cycle: u64,
-    ) {
-        let mut current = row;
-        for i in from..procs.len() {
-            match procs[i].push_row(current) {
-                Some(r) => {
-                    if !tr[i].primed {
-                        tr[i].primed = true;
-                        rec.instant(tr[i].track, "primed", cycle);
-                    }
-                    current = r;
-                }
-                None => {
-                    rec.gauge(tr[i].track, "window_fill", cycle, procs[i].window_fill() as f64);
-                    return;
-                }
-            }
-        }
-        out.push(current);
-    }
-
-    let mut j: u64 = 0;
-    for row in rows {
-        let cycle = base_cycle + j * cycles_per_row;
-        feed(&mut procs, &mut tr, 0, row, &mut out, rec, cycle);
-        j += 1;
-    }
-    rec.counter_add("window.rows_streamed", j);
-    // flush stage by stage, cascading trailing rows downstream
-    let end_cycle = base_cycle + j * cycles_per_row;
-    for i in 0..procs.len() {
-        let trailing = procs[i].finish();
-        rec.counter_add("window.drain_rows", trailing.len() as u64);
-        rec.instant(tr[i].track, "drain", end_cycle);
-        for row in trailing {
-            feed(&mut procs, &mut tr, i + 1, row, &mut out, rec, end_cycle);
-        }
-    }
-    assert_eq!(out.len(), stream_rows, "chain must emit the full stream");
-    out
-}
-
-/// Stream a plane iterator through a chain of 3D stages.
+/// Stream a plane iterator through a chain of scalar 3D stages, untraced.
 pub fn run_chain_3d<T: Element, K: StencilOp3D<T> + Clone>(
     chain: &[K],
     nx: usize,
@@ -488,125 +644,115 @@ pub fn run_chain_3d<T: Element, K: StencilOp3D<T> + Clone>(
     mesh_nz: usize,
     planes: impl Iterator<Item = Vec<T>>,
 ) -> Vec<Vec<T>> {
-    run_chain_3d_traced(
-        chain,
-        nx,
-        ny,
-        stream_planes,
-        mesh_nz,
-        planes,
-        &mut Recorder::disabled(),
-        "",
-        0,
-        1,
-    )
-}
-
-/// [`run_chain_3d`] with window-buffer telemetry (see
-/// [`run_chain_2d_traced`]); the streamed unit is a plane, so
-/// `cycles_per_row` here is cycles per *plane*.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_3d_traced<T: Element, K: StencilOp3D<T> + Clone>(
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-    cycles_per_row: u64,
-) -> Vec<Vec<T>> {
-    run_chain_3d_engine_traced(
-        &ScalarEngine,
-        chain,
-        nx,
-        ny,
-        stream_planes,
-        mesh_nz,
-        planes,
-        rec,
-        track_prefix,
-        base_cycle,
-        cycles_per_row,
-    )
-}
-
-/// [`run_chain_3d_traced`] for any [`Engine3D`] (see
-/// [`run_chain_2d_engine_traced`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_chain_3d_engine_traced<T: Element, K, E: Engine3D<T, K>>(
-    engine: &E,
-    chain: &[K],
-    nx: usize,
-    ny: usize,
-    stream_planes: usize,
-    mesh_nz: usize,
-    planes: impl Iterator<Item = Vec<T>>,
-    rec: &mut Recorder,
-    track_prefix: &str,
-    base_cycle: u64,
-    cycles_per_row: u64,
-) -> Vec<Vec<T>> {
-    let mut procs: Vec<E::Stage> =
-        chain.iter().map(|k| engine.stage(k, nx, ny, stream_planes, mesh_nz)).collect();
-    let mut tr = stage_tracks(rec, track_prefix, procs.len());
-    let mut out = Vec::with_capacity(stream_planes);
-
-    fn feed<T: Element, S: Stage3D<T>>(
-        procs: &mut [S],
-        tr: &mut [StageTrace],
-        from: usize,
-        plane: Vec<T>,
-        out: &mut Vec<Vec<T>>,
-        rec: &mut Recorder,
-        cycle: u64,
-    ) {
-        let mut current = plane;
-        for i in from..procs.len() {
-            match procs[i].push_plane(current) {
-                Some(p) => {
-                    if !tr[i].primed {
-                        tr[i].primed = true;
-                        rec.instant(tr[i].track, "primed", cycle);
-                    }
-                    current = p;
-                }
-                None => {
-                    rec.gauge(tr[i].track, "window_fill", cycle, procs[i].window_fill() as f64);
-                    return;
-                }
-            }
-        }
-        out.push(current);
-    }
-
-    let mut j: u64 = 0;
-    for plane in planes {
-        let cycle = base_cycle + j * cycles_per_row;
-        feed(&mut procs, &mut tr, 0, plane, &mut out, rec, cycle);
-        j += 1;
-    }
-    rec.counter_add("window.planes_streamed", j);
-    let end_cycle = base_cycle + j * cycles_per_row;
-    for i in 0..procs.len() {
-        let trailing = procs[i].finish();
-        rec.counter_add("window.drain_planes", trailing.len() as u64);
-        rec.instant(tr[i].track, "drain", end_cycle);
-        for plane in trailing {
-            feed(&mut procs, &mut tr, i + 1, plane, &mut out, rec, end_cycle);
-        }
-    }
-    assert_eq!(out.len(), stream_planes, "chain must emit the full stream");
-    out
+    let stages = chain
+        .iter()
+        .map(|k| StageProcessor3D::new(k.clone(), nx, ny, stream_planes, mesh_nz))
+        .collect();
+    run_chain(stages, stream_planes, planes, &mut Recorder::disabled(), Stamps::default(), None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sf_faults::{FaultKind, FaultPlan};
     use sf_kernels::{reference, Jacobi3D, Poisson2D};
     use sf_mesh::{norms, Batch2D, Mesh2D, Mesh3D};
+    use sf_telemetry::{chrome::to_chrome_json, metrics::to_metrics_json};
+
+    /// Whole-mesh scalar 2D stages for `chain` over `ny` rows of `nx`.
+    fn scalar_2d<K: StencilOp2D<f32> + Clone>(
+        chain: &[K],
+        nx: usize,
+        ny: usize,
+    ) -> Vec<StageProcessor2D<f32, K>> {
+        chain.iter().map(|k| StageProcessor2D::new(k.clone(), nx, ny, ny)).collect()
+    }
+
+    /// Whole-mesh scalar 3D stages for `chain` over `nz` planes.
+    fn scalar_3d<K: StencilOp3D<f32> + Clone>(
+        chain: &[K],
+        nx: usize,
+        ny: usize,
+        nz: usize,
+    ) -> Vec<StageProcessor3D<f32, K>> {
+        chain.iter().map(|k| StageProcessor3D::new(k.clone(), nx, ny, nz, nz)).collect()
+    }
+
+    /// Run `stages` over `units` with an enabled recorder, with or without
+    /// fault hooks around `inj`; returns the units, the trace exports and
+    /// the fault outcome.
+    #[allow(clippy::type_complexity)]
+    fn hooked_run<S: Stage<f32>>(
+        stages: Vec<S>,
+        units: Vec<Vec<f32>>,
+        inj: Option<&mut FaultInjector>,
+    ) -> (Vec<Vec<f32>>, String, String, Result<(), ExecError>) {
+        let mut rec = Recorder::enabled(300.0);
+        let n = units.len();
+        let at = Stamps { prefix: "w/", base_cycle: 5, unit_cycles: 7 };
+        let (out, outcome) = match inj {
+            Some(inj) => {
+                let mut faults = ChainFaults::new(inj, 1_000);
+                let out = run_chain(stages, n, units.into_iter(), &mut rec, at, Some(&mut faults));
+                (out, faults.result(()))
+            }
+            None => (run_chain(stages, n, units.into_iter(), &mut rec, at, None), Ok(())),
+        };
+        (out, to_chrome_json(&rec), to_metrics_json(&rec), outcome)
+    }
+
+    #[test]
+    fn disabled_fault_hooks_change_nothing_2d() {
+        let m = Mesh2D::<f32>::random(21, 13, 4, -1.0, 1.0);
+        let rows: Vec<Vec<f32>> = m.as_slice().chunks(21).map(<[f32]>::to_vec).collect();
+        let chain = vec![Poisson2D; 3];
+        let plain = hooked_run(scalar_2d(&chain, 21, 13), rows.clone(), None);
+        let mut inj = FaultInjector::disabled();
+        let hooked = hooked_run(scalar_2d(&chain, 21, 13), rows, Some(&mut inj));
+        assert_eq!(hooked, plain, "disabled fault hooks must not change units or traces");
+        assert!(plain.2.contains("window.rows_streamed"));
+    }
+
+    #[test]
+    fn disabled_fault_hooks_change_nothing_3d() {
+        let m = Mesh3D::<f32>::random(9, 8, 7, 5, -1.0, 1.0);
+        let planes: Vec<Vec<f32>> = m.as_slice().chunks(72).map(<[f32]>::to_vec).collect();
+        let chain = vec![Jacobi3D::smoothing(); 2];
+        let plain = hooked_run(scalar_3d(&chain, 9, 8, 7), planes.clone(), None);
+        let mut inj = FaultInjector::disabled();
+        let hooked = hooked_run(scalar_3d(&chain, 9, 8, 7), planes, Some(&mut inj));
+        assert_eq!(hooked, plain, "disabled fault hooks must not change units or traces");
+        assert!(plain.2.contains("window.planes_streamed"));
+    }
+
+    #[test]
+    fn fifo_drop_deadlock_names_rows() {
+        let m = Mesh2D::<f32>::random(21, 13, 4, -1.0, 1.0);
+        let rows: Vec<Vec<f32>> = m.as_slice().chunks(21).map(<[f32]>::to_vec).collect();
+        let mut inj = FaultInjector::new(FaultPlan::single(7, FaultKind::FifoDrop, 1_000_000));
+        let (_, _, _, outcome) =
+            hooked_run(scalar_2d(&[Poisson2D; 2], 21, 13), rows, Some(&mut inj));
+        match outcome {
+            Err(ExecError::Deadlock(trip)) => {
+                assert!(trip.detail.contains("rows"), "{trip}");
+                assert!(trip.units_emitted < trip.units_expected);
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fifo_drop_deadlock_names_planes() {
+        let m = Mesh3D::<f32>::random(9, 8, 7, 5, -1.0, 1.0);
+        let planes: Vec<Vec<f32>> = m.as_slice().chunks(72).map(<[f32]>::to_vec).collect();
+        let mut inj = FaultInjector::new(FaultPlan::single(13, FaultKind::FifoDrop, 1_000_000));
+        let (_, _, _, outcome) =
+            hooked_run(scalar_3d(&[Jacobi3D::smoothing()], 9, 8, 7), planes, Some(&mut inj));
+        match outcome {
+            Err(ExecError::Deadlock(trip)) => assert!(trip.detail.contains("planes"), "{trip}"),
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
 
     #[test]
     fn ring_buffer_eviction_and_access() {
@@ -674,16 +820,13 @@ mod tests {
         let plain = run_chain_2d(&chain, 21, 13, 13, m.as_slice().chunks(21).map(|r| r.to_vec()));
 
         let mut rec = Recorder::enabled(300.0);
-        let traced = run_chain_2d_traced(
-            &chain,
-            21,
-            13,
+        let traced = run_chain(
+            scalar_2d(&chain, 21, 13),
             13,
             m.as_slice().chunks(21).map(|r| r.to_vec()),
             &mut rec,
-            "p0/",
-            100,
-            28,
+            Stamps { prefix: "p0/", base_cycle: 100, unit_cycles: 28 },
+            None,
         );
         assert_eq!(plain, traced, "telemetry must not change results");
 
@@ -709,17 +852,13 @@ mod tests {
         let chain = vec![k; 2];
         let plain = run_chain_3d(&chain, 9, 8, 7, 7, m.as_slice().chunks(72).map(|p| p.to_vec()));
         let mut rec = Recorder::enabled(300.0);
-        let traced = run_chain_3d_traced(
-            &chain,
-            9,
-            8,
-            7,
+        let traced = run_chain(
+            scalar_3d(&chain, 9, 8, 7),
             7,
             m.as_slice().chunks(72).map(|p| p.to_vec()),
             &mut rec,
-            "",
-            0,
-            10,
+            Stamps { prefix: "", base_cycle: 0, unit_cycles: 10 },
+            None,
         );
         assert_eq!(plain, traced);
         assert_eq!(rec.counter("window.planes_streamed"), 7);

@@ -30,6 +30,14 @@ impl<T: Element> Batch2D<T> {
         Batch2D { nx, ny, b, data: vec![T::default(); nx * ny * b] }
     }
 
+    /// Wrap a stacked buffer of `b` meshes of `nx × ny` (global row-major)
+    /// without copying it.
+    pub fn from_vec(nx: usize, ny: usize, b: usize, data: Vec<T>) -> Self {
+        assert!(nx > 0 && ny > 0 && b > 0, "batch dimensions must be positive");
+        assert_eq!(data.len(), nx * ny * b, "buffer length must be nx·ny·b");
+        Batch2D { nx, ny, b, data }
+    }
+
     /// Build a batch from `b` individual meshes (all must share the shape).
     pub fn from_meshes(meshes: &[Mesh2D<T>]) -> Self {
         assert!(!meshes.is_empty(), "empty batch");
@@ -102,6 +110,11 @@ impl<T: Element> Batch2D<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
+    }
+
+    /// Take the stacked buffer.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
     }
 
     /// Read element `(x, y)` of mesh `i`.
@@ -187,6 +200,14 @@ impl<T: Element> Batch3D<T> {
         Batch3D { nx, ny, nz, b, data: vec![T::default(); nx * ny * nz * b] }
     }
 
+    /// Wrap a stacked buffer of `b` meshes of `nx × ny × nz` without
+    /// copying it.
+    pub fn from_vec(nx: usize, ny: usize, nz: usize, b: usize, data: Vec<T>) -> Self {
+        assert!(nx > 0 && ny > 0 && nz > 0 && b > 0, "batch dimensions must be positive");
+        assert_eq!(data.len(), nx * ny * nz * b, "buffer length must be nx·ny·nz·b");
+        Batch3D { nx, ny, nz, b, data }
+    }
+
     /// Build a batch from individual meshes (all must share the shape).
     pub fn from_meshes(meshes: &[Mesh3D<T>]) -> Self {
         assert!(!meshes.is_empty(), "empty batch");
@@ -265,6 +286,11 @@ impl<T: Element> Batch3D<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
+    }
+
+    /// Take the stacked buffer.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
     }
 
     /// Read element `(x, y, z)` of mesh `i`.

@@ -35,8 +35,7 @@ pub mod partition;
 pub mod plan;
 
 pub use exec::{
-    simulate_batch_2d_sharded, simulate_batch_2d_sharded_exec, simulate_batch_3d_sharded,
-    simulate_batch_3d_sharded_exec, trace_sharded_schedule,
+    simulate_batch_2d_sharded_exec, simulate_batch_3d_sharded_exec, trace_sharded_schedule,
 };
 pub use link::LinkModel;
 pub use partition::{halo_depth, slab_partition, Shard};
