@@ -10,6 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sf_core::prelude::*;
 use sf_fpga::design::synthesize;
+use sf_fpga::window::ScalarEngine;
 use sf_fpga::{exec_batch, Recorder};
 use sf_kernels::{Jacobi3D, Poisson2D};
 use sf_mesh::{Batch2D, Batch3D};
@@ -38,7 +39,8 @@ fn bench_batch_2d(c: &mut Criterion) {
     for jobs in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                exec_batch::simulate_batch_2d_parallel(
+                exec_batch::simulate_batch_2d_parallel_exec(
+                    ScalarEngine,
                     &dev,
                     &ds,
                     &[Poisson2D],
@@ -75,7 +77,8 @@ fn bench_batch_3d(c: &mut Criterion) {
     for jobs in [1usize, 2, 4] {
         g.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
             b.iter(|| {
-                exec_batch::simulate_batch_3d_parallel(
+                exec_batch::simulate_batch_3d_parallel_exec(
+                    ScalarEngine,
                     &dev,
                     &ds,
                     &[k],

@@ -104,8 +104,15 @@ fn check_2d(
         norms::bit_equal(scalar_out.as_slice(), golden.as_slice()),
         "scalar 2D output differs from reference ({tag})"
     );
-    let (fast_out, fast_rep) =
-        fast::simulate_2d_fast(&dev, &ds, std::slice::from_ref(k), &input, niter);
+    let (fast_out, fast_rep) = fast::simulate_2d_exec(
+        ExecEngine::Fast,
+        &dev,
+        &ds,
+        std::slice::from_ref(k),
+        &input,
+        niter,
+        &mut Recorder::disabled(),
+    );
     ensure!(
         norms::bit_equal(fast_out.as_slice(), scalar_out.as_slice()),
         "fast 2D output differs from scalar ({tag})"
@@ -189,8 +196,15 @@ fn check_3d(
         norms::bit_equal(scalar_out.as_slice(), golden.as_slice()),
         "scalar 3D output differs from reference ({tag})"
     );
-    let (fast_out, fast_rep) =
-        fast::simulate_3d_fast(&dev, &ds, std::slice::from_ref(k), &input, niter);
+    let (fast_out, fast_rep) = fast::simulate_3d_exec(
+        ExecEngine::Fast,
+        &dev,
+        &ds,
+        std::slice::from_ref(k),
+        &input,
+        niter,
+        &mut Recorder::disabled(),
+    );
     ensure!(
         norms::bit_equal(fast_out.as_slice(), scalar_out.as_slice()),
         "fast 3D output differs from scalar ({tag})"
@@ -529,7 +543,15 @@ fn rtm_lane_packs_match_scalar_and_reference() {
             .unwrap();
         let golden = reference::run_stages_3d(&stages, &packed, niter);
         let (scalar_out, scalar_rep) = exec3d::simulate_3d(&dev, &ds, &stages, &input, niter);
-        let (fast_out, fast_rep) = fast::simulate_3d_fast(&dev, &ds, &stages, &input, niter);
+        let (fast_out, fast_rep) = fast::simulate_3d_exec(
+            ExecEngine::Fast,
+            &dev,
+            &ds,
+            &stages,
+            &input,
+            niter,
+            &mut Recorder::disabled(),
+        );
         assert!(
             norms::bit_equal(scalar_out.as_slice(), golden.as_slice()),
             "rtm nx={nx}: scalar differs from reference"

@@ -12,8 +12,10 @@
 use proptest::prelude::*;
 use sf_check::{check, Design, RuleId, Severity};
 use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
+use sf_fpga::window::ScalarEngine;
 use sf_fpga::{
-    simulate_2d_resilient, simulate_3d_resilient, FaultInjector, FpgaDevice, Recorder, RetryPolicy,
+    simulate_2d_resilient_exec, simulate_3d_resilient_exec, FaultInjector, FpgaDevice, Recorder,
+    RetryPolicy,
 };
 use sf_kernels::{Jacobi3D, Poisson2D, StencilSpec};
 use sf_mesh::{Batch2D, Batch3D};
@@ -58,8 +60,8 @@ proptest! {
             };
             let batch = Batch2D::<f32>::random(nx, ny, b, seed, -1.0, 1.0);
             let mut inj = FaultInjector::disabled();
-            let r = simulate_2d_resilient(
-                &d, ds, &[Poisson2D], &batch, 2,
+            let r = simulate_2d_resilient_exec(
+                ScalarEngine, &d, ds, &[Poisson2D], &batch, 2,
                 &mut inj, &RetryPolicy::default(), &mut Recorder::disabled(),
             );
             prop_assert!(r.is_ok(), "check-clean design deadlocked: {:?}", r.err());
@@ -100,8 +102,8 @@ proptest! {
             };
             let batch = Batch3D::<f32>::random(nx, ny, nz, b, seed, -1.0, 1.0);
             let mut inj = FaultInjector::disabled();
-            let r = simulate_3d_resilient(
-                &d, ds, &[Jacobi3D::smoothing()], &batch, 2,
+            let r = simulate_3d_resilient_exec(
+                ScalarEngine, &d, ds, &[Jacobi3D::smoothing()], &batch, 2,
                 &mut inj, &RetryPolicy::default(), &mut Recorder::disabled(),
             );
             prop_assert!(r.is_ok(), "check-clean design deadlocked: {:?}", r.err());

@@ -10,7 +10,7 @@
 use crate::error::SfError;
 use crate::workflow::Workflow;
 use sf_fpga::design::{StencilDesign, Workload};
-use sf_fpga::{exec2d, exec3d, FpgaDevice, SimReport};
+use sf_fpga::{fast, ExecEngine, FpgaDevice, Recorder, SimReport};
 use sf_kernels::rtm::{self, RtmState};
 use sf_kernels::{reference, Jacobi3D, Poisson2D, RtmParams, RtmStage, StencilSpec};
 use sf_mesh::{norms, Batch2D, Batch3D, Mesh3D};
@@ -37,7 +37,8 @@ impl PoissonSolver {
 
     /// Solve `niter` iterations on a batch of meshes.
     pub fn run(&self, input: &Batch2D<f32>, niter: usize) -> (Batch2D<f32>, SimReport) {
-        exec2d::simulate_2d(&self.device, &self.design, &[Poisson2D], input, niter)
+        let (dev, ds, rec) = (&self.device, &self.design, &mut Recorder::disabled());
+        fast::simulate_2d_exec(ExecEngine::default(), dev, ds, &[Poisson2D], input, niter, rec)
     }
 
     /// Solve and assert bit-exactness vs the golden reference.
@@ -81,7 +82,8 @@ impl JacobiSolver {
 
     /// Solve `niter` iterations on a batch of meshes.
     pub fn run(&self, input: &Batch3D<f32>, niter: usize) -> (Batch3D<f32>, SimReport) {
-        exec3d::simulate_3d(&self.device, &self.design, &[self.kernel], input, niter)
+        let (dev, ds, rec) = (&self.device, &self.design, &mut Recorder::disabled());
+        fast::simulate_3d_exec(ExecEngine::default(), dev, ds, &[self.kernel], input, niter, rec)
     }
 
     /// Solve and assert bit-exactness vs the golden reference.
@@ -134,10 +136,11 @@ impl RtmSolver {
         niter: usize,
     ) -> (Mesh3D<RtmState>, SimReport) {
         let stages = RtmStage::pipeline(self.params);
-        let packed = rtm::pack(y, rho, mu);
-        let (out_packed, rep) =
-            exec3d::simulate_mesh_3d(&self.device, &self.design, &stages, &packed, niter);
-        (rtm::unpack(&out_packed), rep)
+        let packed = Batch3D::from_meshes(&[rtm::pack(y, rho, mu)]);
+        let (dev, ds, rec) = (&self.device, &self.design, &mut Recorder::disabled());
+        let (out, rep) =
+            fast::simulate_3d_exec(ExecEngine::default(), dev, ds, &stages, &packed, niter, rec);
+        (rtm::unpack(&out.mesh(0)), rep)
     }
 
     /// Run and assert bit-exactness vs the golden RTM reference.

@@ -2,9 +2,10 @@
 //! design, producing both the numeric result (bit-exact vs the golden
 //! reference) and a [`SimReport`].
 //!
-//! * [`simulate_2d`] — streams every cell through the window-buffer chain
-//!   via [`crate::window::run_passes`] (use for validation-scale
-//!   workloads).
+//! * [`simulate_2d_exec`] — streams every cell through the window-buffer
+//!   chain via [`crate::window::run_passes`] on any engine (use for
+//!   validation-scale workloads); [`simulate_2d`] and [`simulate_mesh_2d`]
+//!   are its untraced [`ScalarEngine`] conveniences.
 //! * For timing/power only at paper scale (60 000 iterations on 400×400
 //!   meshes would be pointless to stream cell by cell), price the
 //!   closed-form [`cycles::plan`] with [`SimReport::from_plan`] — the plan
@@ -25,61 +26,22 @@ use sf_mesh::{Batch2D, Element, Mesh2D, TileGrid1D};
 use sf_telemetry::Recorder;
 
 /// Execute `niter` iterations of `stages_per_iter` on a (batch of) 2D
-/// mesh(es) through the design's dataflow pipeline. Returns the result and
-/// the report.
+/// mesh(es) through the design's dataflow pipeline, with stages built by
+/// `engine`. Returns the result and the report.
 ///
-/// ```
-/// use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
-/// use sf_fpga::{exec2d, FpgaDevice};
-/// use sf_kernels::{reference, Poisson2D, StencilSpec};
-/// use sf_mesh::{norms, Mesh2D};
-///
-/// let dev = FpgaDevice::u280();
-/// let wl = Workload::D2 { nx: 40, ny: 20, batch: 1 };
-/// let ds = synthesize(&dev, &StencilSpec::poisson(), 8, 4,
-///                     ExecMode::Baseline, MemKind::Hbm, &wl).unwrap();
-/// let m = Mesh2D::<f32>::random(40, 20, 1, -1.0, 1.0);
-/// let (out, report) = exec2d::simulate_mesh_2d(&dev, &ds, &[Poisson2D], &m, 8);
-/// // bit-exact against the golden reference
-/// let golden = reference::run_2d(&Poisson2D, &m, 8);
-/// assert!(norms::bit_equal(out.as_slice(), golden.as_slice()));
-/// assert!(report.total_cycles > 0);
-/// ```
+/// Telemetry: emits the schedule trace ([`profile::trace_schedule`] —
+/// per-pass/per-tile spans, AXI channel utilisation, stall attribution)
+/// plus behavioral window-buffer events (fill gauges, primed/drain
+/// instants) for the first pass. The schedule repeats identically every
+/// pass, so later passes stream untraced; pass [`Recorder::disabled`] for
+/// an untraced run.
 ///
 /// # Panics
 /// Panics if the design mode disagrees with the input batch (e.g. a
 /// `Batched{b}` design fed a different batch size, or a tiled design fed a
 /// batch).
-pub fn simulate_2d<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-) -> (Batch2D<T>, SimReport) {
-    simulate_2d_traced(dev, design, stages_per_iter, input, niter, &mut Recorder::disabled())
-}
-
-/// [`simulate_2d`] with telemetry: emits the schedule trace
-/// ([`profile::trace_schedule`] — per-pass/per-tile spans, AXI channel
-/// utilisation, stall attribution) plus behavioral window-buffer events
-/// (fill gauges, primed/drain instants) for the first pass. The schedule
-/// repeats identically every pass, so later passes stream untraced.
-pub fn simulate_2d_traced<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    simulate_2d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
-}
-
-/// [`simulate_2d_traced`] for any [`Engine2D`]: mode dispatch and plan
-/// accounting shared by the scalar and fast paths.
-pub(crate) fn simulate_2d_core<T: Element, K, E: Engine2D<T, K>>(
-    engine: &E,
+pub fn simulate_2d_exec<T: Element, K, E: Engine2D<T, K>>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -99,7 +61,7 @@ pub(crate) fn simulate_2d_core<T: Element, K, E: Engine2D<T, K>>(
             for (n, &p_eff) in passes.iter().enumerate() {
                 let pass_rec = if n == 0 { &mut *rec } else { &mut off };
                 let chain: Vec<&K> = pass_chain(stages_per_iter, p_eff).collect();
-                cur = tiled_pass_2d(engine, dev, design, &chain, &cur, nx, tile_m, pass_rec);
+                cur = tiled_pass_2d(&engine, dev, design, &chain, &cur, nx, tile_m, pass_rec);
             }
             cur
         }
@@ -119,7 +81,37 @@ pub(crate) fn simulate_2d_core<T: Element, K, E: Engine2D<T, K>>(
     (Batch2D::from_vec(nx, ny, b, out), report)
 }
 
-/// Convenience wrapper for single-mesh simulation.
+/// [`simulate_2d_exec`] on the [`ScalarEngine`], untraced.
+///
+/// ```
+/// use sf_fpga::design::{synthesize, ExecMode, MemKind, Workload};
+/// use sf_fpga::{exec2d, FpgaDevice};
+/// use sf_kernels::{reference, Poisson2D, StencilSpec};
+/// use sf_mesh::{norms, Mesh2D};
+///
+/// let dev = FpgaDevice::u280();
+/// let wl = Workload::D2 { nx: 40, ny: 20, batch: 1 };
+/// let ds = synthesize(&dev, &StencilSpec::poisson(), 8, 4,
+///                     ExecMode::Baseline, MemKind::Hbm, &wl).unwrap();
+/// let m = Mesh2D::<f32>::random(40, 20, 1, -1.0, 1.0);
+/// let (out, report) = exec2d::simulate_mesh_2d(&dev, &ds, &[Poisson2D], &m, 8);
+/// // bit-exact against the golden reference
+/// let golden = reference::run_2d(&Poisson2D, &m, 8);
+/// assert!(norms::bit_equal(out.as_slice(), golden.as_slice()));
+/// assert!(report.total_cycles > 0);
+/// ```
+pub fn simulate_2d<T: Element, K: StencilOp2D<T> + Clone>(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    stages_per_iter: &[K],
+    input: &Batch2D<T>,
+    niter: usize,
+) -> (Batch2D<T>, SimReport) {
+    let rec = &mut Recorder::disabled();
+    simulate_2d_exec(ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
+}
+
+/// [`simulate_2d`] for a single mesh.
 pub fn simulate_mesh_2d<T: Element, K: StencilOp2D<T> + Clone>(
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -258,7 +250,8 @@ mod tests {
 
         let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
-        let (traced, rep2) = simulate_2d_traced(&dev(), &ds, &[Poisson2D], &batch, 12, &mut rec);
+        let (traced, rep2) =
+            simulate_2d_exec(ScalarEngine, &dev(), &ds, &[Poisson2D], &batch, 12, &mut rec);
         assert!(norms::bit_equal(traced.mesh(0).as_slice(), plain.as_slice()));
         assert_eq!(rep.total_cycles, rep2.total_cycles);
 
@@ -278,7 +271,8 @@ mod tests {
         let ds = design(&wl, 8, 8, ExecMode::Tiled1D { tile_m: 64 });
         let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
-        let (out, _) = simulate_2d_traced(&dev(), &ds, &[Poisson2D], &batch, 16, &mut rec);
+        let (out, _) =
+            simulate_2d_exec(ScalarEngine, &dev(), &ds, &[Poisson2D], &batch, 16, &mut rec);
         let expect = reference::run_2d(&Poisson2D, &m, 16);
         assert!(norms::bit_equal(out.mesh(0).as_slice(), expect.as_slice()));
         // Window tracks exist only for the first tile's chain.
@@ -419,5 +413,73 @@ mod multistage_2d_tests {
             "first mismatch: {:?}",
             norms::first_mismatch(out.as_slice(), expect.as_slice())
         );
+    }
+
+    /// The wave chain's design and input: 8 iterations at p = 3, so the
+    /// run spans three passes.
+    fn wave_setup() -> (StencilDesign, Mesh2D<wave2d::WaveState>, Batch2D<wave2d::WaveState>) {
+        let m = wave2d::standing_wave(30, 22);
+        let wl = Workload::D2 { nx: 30, ny: 22, batch: 1 };
+        let ds = synthesize(&dev(), &wave2d::spec(), 4, 3, ExecMode::Baseline, MemKind::Hbm, &wl)
+            .unwrap();
+        let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
+        (ds, m, batch)
+    }
+
+    // The wave chain has no lane impl, so `ScalarEngine` is the only engine
+    // that runs it; the fault-aware families must still take it.
+
+    #[test]
+    fn wave_resilient_on_scalar_engine_bit_exact() {
+        let (ds, m, batch) = wave_setup();
+        let mut inj = sf_faults::FaultInjector::disabled();
+        let (out, _) = crate::resilient::simulate_2d_resilient_exec(
+            ScalarEngine,
+            &dev(),
+            &ds,
+            &stages(),
+            &batch,
+            8,
+            &mut inj,
+            &sf_faults::RetryPolicy::default(),
+            &mut Recorder::disabled(),
+        )
+        .unwrap();
+        let expect = reference::run_stages_2d(&stages(), &m, 8);
+        assert!(norms::bit_equal(out.mesh(0).as_slice(), expect.as_slice()));
+    }
+
+    #[test]
+    fn wave_recoverable_on_scalar_engine_bit_exact() {
+        use sf_recover::{RecoveryConfig, RecoveryPolicy};
+        let (ds, m, batch) = wave_setup();
+        let plan = sf_faults::FaultPlan {
+            seed: 5,
+            kind: sf_faults::FaultKind::BitFlip,
+            rate_ppm: 0,
+            max_injections: 0,
+        };
+        let mut inj = sf_faults::FaultInjector::new(plan);
+        let rcfg = RecoveryConfig {
+            policy: RecoveryPolicy::Rollback { max_retries: 3 },
+            checkpoint_every: 1,
+            ..RecoveryConfig::default()
+        };
+        let (out, _, stats) = crate::recovery::simulate_2d_recoverable_exec(
+            ScalarEngine,
+            &dev(),
+            &ds,
+            &stages(),
+            &batch,
+            8,
+            &mut inj,
+            &sf_faults::RetryPolicy::default(),
+            &rcfg,
+            &mut Recorder::disabled(),
+        )
+        .unwrap();
+        let expect = reference::run_stages_2d(&stages(), &m, 8);
+        assert!(norms::bit_equal(out.mesh(0).as_slice(), expect.as_slice()));
+        assert_eq!((stats.rollbacks, stats.abft_checks), (0, 3));
     }
 }

@@ -18,34 +18,16 @@ use sf_mesh::{Batch3D, Element, Mesh3D, TileGrid1D};
 use sf_telemetry::Recorder;
 
 /// Execute `niter` iterations (each = all `stages_per_iter` in order) on a
-/// (batch of) 3D mesh(es). Returns the result and the report.
-pub fn simulate_3d<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-) -> (Batch3D<T>, SimReport) {
-    simulate_3d_traced(dev, design, stages_per_iter, input, niter, &mut Recorder::disabled())
-}
-
-/// [`simulate_3d`] with telemetry (see [`crate::exec2d::simulate_2d_traced`]):
-/// schedule trace plus window-buffer events for the first pass / first tile.
-pub fn simulate_3d_traced<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    simulate_3d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
-}
-
-/// [`simulate_3d_traced`] for any [`Engine3D`]: mode dispatch and plan
-/// accounting shared by the scalar and fast paths.
-pub(crate) fn simulate_3d_core<T: Element, K, E: Engine3D<T, K>>(
-    engine: &E,
+/// (batch of) 3D mesh(es), with stages built by `engine`. Returns the
+/// result and the report; telemetry as in
+/// [`crate::exec2d::simulate_2d_exec`] (schedule trace plus window-buffer
+/// events for the first pass / first tile).
+///
+/// # Panics
+/// Panics on a design/input mismatch, like
+/// [`crate::exec2d::simulate_2d_exec`].
+pub fn simulate_3d_exec<T: Element, K, E: Engine3D<T, K>>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -66,7 +48,7 @@ pub(crate) fn simulate_3d_core<T: Element, K, E: Engine3D<T, K>>(
                 let pass_rec = if n == 0 { &mut *rec } else { &mut off };
                 let chain: Vec<&K> = pass_chain(stages_per_iter, p_eff).collect();
                 let tile = (tile_m, tile_n);
-                cur = tiled_pass_3d(engine, dev, design, &chain, &cur, (nx, ny), tile, pass_rec);
+                cur = tiled_pass_3d(&engine, dev, design, &chain, &cur, (nx, ny), tile, pass_rec);
             }
             cur
         }
@@ -87,7 +69,19 @@ pub(crate) fn simulate_3d_core<T: Element, K, E: Engine3D<T, K>>(
     (Batch3D::from_vec(nx, ny, nz, b, out), report)
 }
 
-/// Convenience wrapper for single-mesh simulation.
+/// [`simulate_3d_exec`] on the [`ScalarEngine`], untraced.
+pub fn simulate_3d<T: Element, K: StencilOp3D<T> + Clone>(
+    dev: &FpgaDevice,
+    design: &StencilDesign,
+    stages_per_iter: &[K],
+    input: &Batch3D<T>,
+    niter: usize,
+) -> (Batch3D<T>, SimReport) {
+    let rec = &mut Recorder::disabled();
+    simulate_3d_exec(ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
+}
+
+/// [`simulate_3d`] for a single mesh.
 pub fn simulate_mesh_3d<T: Element, K: StencilOp3D<T> + Clone>(
     dev: &FpgaDevice,
     design: &StencilDesign,
@@ -299,7 +293,7 @@ mod tests {
         let (plain, rep) = simulate_mesh_3d(&dev(), &ds, &[k], &m, 9);
         let mut rec = crate::Recorder::enabled(ds.freq_hz / 1e6);
         let batch = Batch3D::from_meshes(std::slice::from_ref(&m));
-        let (traced, rep2) = simulate_3d_traced(&dev(), &ds, &[k], &batch, 9, &mut rec);
+        let (traced, rep2) = simulate_3d_exec(ScalarEngine, &dev(), &ds, &[k], &batch, 9, &mut rec);
         assert!(norms::bit_equal(traced.mesh(0).as_slice(), plain.as_slice()));
         assert_eq!(rep.total_cycles, rep2.total_cycles);
         let pipe = rec.find_track("pipeline").unwrap();

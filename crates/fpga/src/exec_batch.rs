@@ -1,8 +1,8 @@
 //! Parallel batched execution: the paper's eq. 15 batch of `B` independent
 //! meshes, fanned across worker threads.
 //!
-//! The single-stream executors ([`crate::exec2d::simulate_2d`],
-//! [`crate::exec3d::simulate_3d`]) stream a `Batched{b}` workload as one
+//! The single-stream executors ([`crate::exec2d::simulate_2d_exec`],
+//! [`crate::exec3d::simulate_3d_exec`]) stream a `Batched{b}` workload as one
 //! stacked mesh; per-mesh boundary handling inside the window chain makes
 //! each batch member's result bit-identical to solving it alone (the
 //! `batched_bit_exact_vs_independent_solves` invariant). This module
@@ -28,8 +28,7 @@ use crate::error::check_run;
 use crate::power;
 use crate::profile;
 use crate::report::SimReport;
-use crate::window::{pass_sizes, run_passes, Engine2D, Engine3D, ScalarEngine, Stage, Stamps};
-use sf_kernels::{StencilOp2D, StencilOp3D};
+use crate::window::{pass_sizes, run_passes, Engine2D, Engine3D, Stage, Stamps};
 use sf_mesh::{Batch2D, Batch3D, Element};
 use sf_telemetry::Recorder;
 
@@ -79,43 +78,19 @@ fn batch_parallel<T: Element, K: Sync, S: Stage<T>>(
 }
 
 /// Execute a (batch of) 2D mesh(es) with per-mesh fan-out across `jobs`
-/// worker threads.
+/// worker threads, with stages built by `engine`.
 ///
 /// Output, [`SimReport`] and every byte recorded into `rec` are identical
 /// for all `jobs` values (see the module docs for why); `jobs = 1` *is*
 /// the serial reference path. The numeric result is bit-identical to
-/// [`crate::exec2d::simulate_2d`] on the same inputs.
+/// [`crate::exec2d::simulate_2d_exec`] on the same inputs.
 ///
 /// # Panics
 /// Panics on a design/input mismatch (wrong batch size, tiled mode) or
 /// `niter == 0`, like the single-stream executors.
-pub fn simulate_batch_2d_parallel<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    simulate_batch_2d_parallel_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_batch_2d_parallel`]: the fast path
-/// reuses it with a lane-parallel engine, keeping fan-out, shard merge and
-/// cycle accounting identical between the two executors.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_2d_parallel_core<T, K, E>(
-    engine: &E,
+pub fn simulate_batch_2d_parallel_exec<T, K, E>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -137,32 +112,13 @@ where
     (Batch2D::from_vec(nx, ny, b, out), report)
 }
 
-/// 3D twin of [`simulate_batch_2d_parallel`].
-pub fn simulate_batch_3d_parallel<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    simulate_batch_3d_parallel_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_batch_3d_parallel`].
+/// 3D twin of [`simulate_batch_2d_parallel_exec`].
+///
+/// # Panics
+/// See [`simulate_batch_2d_parallel_exec`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_3d_parallel_core<T, K, E>(
-    engine: &E,
+pub fn simulate_batch_3d_parallel_exec<T, K, E>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -190,6 +146,7 @@ mod tests {
     use crate::design::{synthesize, ExecMode, MemKind};
     use crate::exec2d::simulate_2d;
     use crate::exec3d::simulate_3d;
+    use crate::window::ScalarEngine;
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
     use sf_mesh::norms;
     use sf_telemetry::{chrome::to_chrome_json, metrics::to_metrics_json};
@@ -210,7 +167,8 @@ mod tests {
         let ds = design_2d(&wl, 5);
         let (legacy, legacy_rep) = simulate_2d(&dev(), &ds, &[Poisson2D], &batch, 9);
         for jobs in [1, 2, 4] {
-            let (out, rep) = simulate_batch_2d_parallel(
+            let (out, rep) = simulate_batch_2d_parallel_exec(
+                ScalarEngine,
                 &dev(),
                 &ds,
                 &[Poisson2D],
@@ -234,8 +192,16 @@ mod tests {
         let ds = design_2d(&wl, 4);
         let run = |jobs: usize| {
             let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
-            let (out, _) =
-                simulate_batch_2d_parallel(&dev(), &ds, &[Poisson2D], &batch, 7, jobs, &mut rec);
+            let (out, _) = simulate_batch_2d_parallel_exec(
+                ScalarEngine,
+                &dev(),
+                &ds,
+                &[Poisson2D],
+                &batch,
+                7,
+                jobs,
+                &mut rec,
+            );
             (out, to_chrome_json(&rec), to_metrics_json(&rec))
         };
         let (out1, chrome1, metrics1) = run(1);
@@ -253,7 +219,16 @@ mod tests {
         let wl = Workload::D2 { nx: 16, ny: 8, batch: 3 };
         let ds = design_2d(&wl, 3);
         let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
-        let _ = simulate_batch_2d_parallel(&dev(), &ds, &[Poisson2D], &batch, 6, 2, &mut rec);
+        let _ = simulate_batch_2d_parallel_exec(
+            ScalarEngine,
+            &dev(),
+            &ds,
+            &[Poisson2D],
+            &batch,
+            6,
+            2,
+            &mut rec,
+        );
         for i in 0..3 {
             let prefix = format!("mesh{i}/window/");
             assert!(
@@ -285,8 +260,16 @@ mod tests {
         let (legacy, legacy_rep) = simulate_3d(&dev(), &ds, &[k], &batch, 6);
         let run = |jobs: usize| {
             let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
-            let (out, rep) =
-                simulate_batch_3d_parallel(&dev(), &ds, &[k], &batch, 6, jobs, &mut rec);
+            let (out, rep) = simulate_batch_3d_parallel_exec(
+                ScalarEngine,
+                &dev(),
+                &ds,
+                &[k],
+                &batch,
+                6,
+                jobs,
+                &mut rec,
+            );
             (out, rep, to_chrome_json(&rec))
         };
         let (out1, rep1, chrome1) = run(1);
@@ -301,7 +284,16 @@ mod tests {
         assert_eq!(
             {
                 let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
-                let _ = simulate_batch_3d_parallel(&dev(), &ds, &[k], &batch, 6, 2, &mut rec);
+                let _ = simulate_batch_3d_parallel_exec(
+                    ScalarEngine,
+                    &dev(),
+                    &ds,
+                    &[k],
+                    &batch,
+                    6,
+                    2,
+                    &mut rec,
+                );
                 rec.counter("window.planes_streamed")
             },
             4 * 8
@@ -322,7 +314,8 @@ mod tests {
             &wl,
         )
         .unwrap();
-        let (out, _) = simulate_batch_2d_parallel(
+        let (out, _) = simulate_batch_2d_parallel_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -341,7 +334,8 @@ mod tests {
         let batch = Batch2D::<f32>::zeros(16, 8, 3);
         let wl = Workload::D2 { nx: 16, ny: 8, batch: 4 };
         let ds = design_2d(&wl, 4);
-        let _ = simulate_batch_2d_parallel(
+        let _ = simulate_batch_2d_parallel_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -367,7 +361,8 @@ mod tests {
             &wl,
         )
         .unwrap();
-        let _ = simulate_batch_2d_parallel(
+        let _ = simulate_batch_2d_parallel_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],

@@ -21,38 +21,36 @@
 //! # What is shared, what is swapped
 //!
 //! The engine traits of [`crate::window`] confine the fast path to one
-//! swap point: the per-stage processor built by [`FastEngine`] instead of
-//! [`ScalarEngine`]. Streaming schedule, telemetry hooks (which fire per
-//! row/plane, never per cell), drain logic, cycle accounting, fault
-//! injection points, watchdog observation and recovery checkpointing are
-//! the *same code* for both engines — the one chain runner
-//! [`crate::window::run_chain`] —, so traces, [`crate::report::SimReport`]s
-//! and fault campaigns are byte-identical across `--exec scalar|fast`.
+//! swap point: the per-stage processor. [`ExecEngine`] is the engine every
+//! executor takes as a value; `ExecEngine::Fast` builds the lane-parallel
+//! processors below and `ExecEngine::Scalar` the cell-at-a-time ones, one
+//! [`ExecStage`] per kernel of the chain. Streaming schedule, telemetry
+//! hooks (which fire per row/plane, never per cell), drain logic, cycle
+//! accounting, fault injection points, watchdog observation and recovery
+//! checkpointing are the *same code* for both engines — the one chain
+//! runner [`crate::window::run_chain`] —, so traces,
+//! [`crate::report::SimReport`]s and fault campaigns are byte-identical
+//! across `--exec scalar|fast`. This module re-exports the ten
+//! engine-generic `*_exec` entry points; kernels without a lane impl run
+//! through them on [`ScalarEngine`](crate::window::ScalarEngine).
 //!
 //! Iteration is row-blocked: each emitted row (2D) or row-of-plane (3D) is
 //! processed left boundary → lane packs → scalar epilogue → right boundary,
 //! touching each cache line once per stencil row.
 
-use crate::design::StencilDesign;
-use crate::device::FpgaDevice;
-use crate::error::ExecError;
-use crate::exec2d::simulate_2d_core;
-use crate::exec3d::simulate_3d_core;
-use crate::exec_batch::{simulate_batch_2d_parallel_core, simulate_batch_3d_parallel_core};
-use crate::recovery::{
-    simulate_2d_recoverable_core, simulate_3d_recoverable_core, simulate_batch_2d_recoverable_core,
-    simulate_batch_3d_recoverable_core,
+pub use crate::exec2d::simulate_2d_exec;
+pub use crate::exec3d::simulate_3d_exec;
+pub use crate::exec_batch::{simulate_batch_2d_parallel_exec, simulate_batch_3d_parallel_exec};
+pub use crate::recovery::{
+    simulate_2d_recoverable_exec, simulate_3d_recoverable_exec, simulate_batch_2d_recoverable_exec,
+    simulate_batch_3d_recoverable_exec,
 };
-use crate::report::SimReport;
-use crate::resilient::{simulate_2d_resilient_core, simulate_3d_resilient_core};
-use crate::window::{Engine2D, Engine3D, RingBuffer, ScalarEngine, Stage};
+pub use crate::resilient::{simulate_2d_resilient_exec, simulate_3d_resilient_exec};
+use crate::window::{Engine2D, Engine3D, RingBuffer, Stage, StageProcessor2D, StageProcessor3D};
 use serde::{Deserialize, Serialize};
-use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_kernels::{LaneElement, LaneOp2D, LaneOp3D};
-use sf_mesh::{Batch2D, Batch3D};
-use sf_recover::{RecoveryConfig, RecoveryStats};
+use sf_mesh::Element;
 use sf_simd::LANES;
-use sf_telemetry::Recorder;
 
 /// One lane-parallel pipeline stage streaming rows of a (possibly batched)
 /// 2D mesh — the fast-path counterpart of
@@ -298,37 +296,13 @@ impl<T: LaneElement, K: LaneOp3D<T>> Stage<T> for FastStageProcessor3D<T, K> {
     }
 }
 
-/// The lane-parallel engine: builds [`FastStageProcessor2D`] /
-/// [`FastStageProcessor3D`] stages for kernels with a lane impl
-/// ([`LaneOp2D`] / [`LaneOp3D`]).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct FastEngine;
-
-impl<T: LaneElement, K: LaneOp2D<T> + Clone> Engine2D<T, K> for FastEngine {
-    type Stage = FastStageProcessor2D<T, K>;
-    fn stage(&self, k: &K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self::Stage {
-        FastStageProcessor2D::new(k.clone(), nx, stream_rows, mesh_ny)
-    }
-}
-
-impl<T: LaneElement, K: LaneOp3D<T> + Clone> Engine3D<T, K> for FastEngine {
-    type Stage = FastStageProcessor3D<T, K>;
-    fn stage(
-        &self,
-        k: &K,
-        nx: usize,
-        ny: usize,
-        stream_planes: usize,
-        mesh_nz: usize,
-    ) -> Self::Stage {
-        FastStageProcessor3D::new(k.clone(), nx, ny, stream_planes, mesh_nz)
-    }
-}
-
 /// Which execution engine a run streams through (the `--exec` CLI flag).
 ///
 /// Both engines are bit-exact against the golden reference; `Fast` is the
-/// default everywhere a kernel carries a lane impl.
+/// default everywhere a kernel carries a lane impl. As an [`Engine2D`] /
+/// [`Engine3D`] it serves kernels with a lane impl ([`LaneOp2D`] /
+/// [`LaneOp3D`]); kernels without one run on
+/// [`ScalarEngine`](crate::window::ScalarEngine).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecEngine {
     /// Cell-at-a-time scalar stage processors — the reference path.
@@ -363,437 +337,85 @@ impl std::fmt::Display for ExecEngine {
     }
 }
 
-/// [`crate::exec2d::simulate_2d`] through the fast path.
-pub fn simulate_2d_fast<T: LaneElement, K: LaneOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-) -> (Batch2D<T>, SimReport) {
-    simulate_2d_core(
-        &FastEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        &mut Recorder::disabled(),
-    )
+/// The stage an [`ExecEngine`] builds: the scalar or the lane-parallel
+/// processor, chosen once per stage and matched once per unit.
+pub enum ExecStage<S, F> {
+    /// A cell-at-a-time [`StageProcessor2D`] / [`StageProcessor3D`].
+    Scalar(S),
+    /// A lane-parallel [`FastStageProcessor2D`] / [`FastStageProcessor3D`].
+    Fast(F),
 }
 
-/// [`crate::exec3d::simulate_3d`] through the fast path.
-pub fn simulate_3d_fast<T: LaneElement, K: LaneOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-) -> (Batch3D<T>, SimReport) {
-    simulate_3d_core(
-        &FastEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// Engine-dispatched [`crate::exec2d::simulate_2d_traced`]: `engine`
-/// selects scalar or fast stage processors; everything else is identical.
-pub fn simulate_2d_exec<T: LaneElement, K: LaneOp2D<T> + Clone>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    match engine {
-        ExecEngine::Scalar => {
-            simulate_2d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
+impl<T: Element, S: Stage<T>, F: Stage<T>> Stage<T> for ExecStage<S, F> {
+    const UNITS: &'static str = S::UNITS;
+    fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        match self {
+            ExecStage::Scalar(s) => s.push(unit),
+            ExecStage::Fast(f) => f.push(unit),
         }
-        ExecEngine::Fast => {
-            simulate_2d_core(&FastEngine, dev, design, stages_per_iter, input, niter, rec)
+    }
+    fn finish(&mut self) -> Vec<Vec<T>> {
+        match self {
+            ExecStage::Scalar(s) => s.finish(),
+            ExecStage::Fast(f) => f.finish(),
+        }
+    }
+    fn window_fill(&self) -> usize {
+        match self {
+            ExecStage::Scalar(s) => s.window_fill(),
+            ExecStage::Fast(f) => f.window_fill(),
         }
     }
 }
 
-/// Engine-dispatched [`crate::exec3d::simulate_3d_traced`].
-pub fn simulate_3d_exec<T: LaneElement, K: LaneOp3D<T> + Clone>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    match engine {
-        ExecEngine::Scalar => {
-            simulate_3d_core(&ScalarEngine, dev, design, stages_per_iter, input, niter, rec)
-        }
-        ExecEngine::Fast => {
-            simulate_3d_core(&FastEngine, dev, design, stages_per_iter, input, niter, rec)
+impl<T: LaneElement, K: LaneOp2D<T> + Clone> Engine2D<T, K> for ExecEngine {
+    type Stage = ExecStage<StageProcessor2D<T, K>, FastStageProcessor2D<T, K>>;
+    fn stage(&self, k: &K, nx: usize, stream_rows: usize, mesh_ny: usize) -> Self::Stage {
+        let k = k.clone();
+        match self {
+            ExecEngine::Scalar => {
+                ExecStage::Scalar(StageProcessor2D::new(k, nx, stream_rows, mesh_ny))
+            }
+            ExecEngine::Fast => {
+                ExecStage::Fast(FastStageProcessor2D::new(k, nx, stream_rows, mesh_ny))
+            }
         }
     }
 }
 
-/// Engine-dispatched [`crate::exec_batch::simulate_batch_2d_parallel`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_2d_parallel_exec<T: LaneElement, K: LaneOp2D<T> + Clone + Sync>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch2D<T>, SimReport) {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_2d_parallel_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_2d_parallel_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            jobs,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::exec_batch::simulate_batch_3d_parallel`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_3d_parallel_exec<T: LaneElement, K: LaneOp3D<T> + Clone + Sync>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> (Batch3D<T>, SimReport) {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_3d_parallel_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_3d_parallel_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            jobs,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::resilient::simulate_2d_resilient`].
-///
-/// # Errors
-/// Exactly the errors of the scalar resilient executor — injection points
-/// and watchdog behavior are engine-independent.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_2d_resilient_exec<T: LaneElement, K: LaneOp2D<T> + Clone>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_2d_resilient_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_2d_resilient_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::resilient::simulate_3d_resilient`].
-///
-/// # Errors
-/// See [`simulate_2d_resilient_exec`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_3d_resilient_exec<T: LaneElement, K: LaneOp3D<T> + Clone>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_3d_resilient_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_3d_resilient_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::recovery::simulate_2d_recoverable`].
-///
-/// # Errors
-/// Exactly the errors of the scalar recoverable executor.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_2d_recoverable_exec<T: LaneElement, K: LaneOp2D<T> + Clone>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_2d_recoverable_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rcfg,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_2d_recoverable_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rcfg,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::recovery::simulate_3d_recoverable`].
-///
-/// # Errors
-/// See [`simulate_2d_recoverable_exec`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_3d_recoverable_exec<T: LaneElement, K: LaneOp3D<T> + Clone>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_3d_recoverable_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rcfg,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_3d_recoverable_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            inj,
-            policy,
-            rcfg,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::recovery::simulate_batch_2d_recoverable`].
-///
-/// # Errors
-/// Exactly the errors of the scalar batch-recoverable executor.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_2d_recoverable_exec<T: LaneElement, K: LaneOp2D<T> + Clone + Sync>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_2d_recoverable_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            base_plan,
-            policy,
-            rcfg,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_2d_recoverable_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            base_plan,
-            policy,
-            rcfg,
-            jobs,
-            rec,
-        ),
-    }
-}
-
-/// Engine-dispatched [`crate::recovery::simulate_batch_3d_recoverable`].
-///
-/// # Errors
-/// See [`simulate_batch_2d_recoverable_exec`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_3d_recoverable_exec<T: LaneElement, K: LaneOp3D<T> + Clone + Sync>(
-    engine: ExecEngine,
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError> {
-    match engine {
-        ExecEngine::Scalar => simulate_batch_3d_recoverable_core(
-            &ScalarEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            base_plan,
-            policy,
-            rcfg,
-            jobs,
-            rec,
-        ),
-        ExecEngine::Fast => simulate_batch_3d_recoverable_core(
-            &FastEngine,
-            dev,
-            design,
-            stages_per_iter,
-            input,
-            niter,
-            base_plan,
-            policy,
-            rcfg,
-            jobs,
-            rec,
-        ),
+impl<T: LaneElement, K: LaneOp3D<T> + Clone> Engine3D<T, K> for ExecEngine {
+    type Stage = ExecStage<StageProcessor3D<T, K>, FastStageProcessor3D<T, K>>;
+    fn stage(
+        &self,
+        k: &K,
+        nx: usize,
+        ny: usize,
+        stream_planes: usize,
+        mesh_nz: usize,
+    ) -> Self::Stage {
+        let k = k.clone();
+        match self {
+            ExecEngine::Scalar => {
+                ExecStage::Scalar(StageProcessor3D::new(k, nx, ny, stream_planes, mesh_nz))
+            }
+            ExecEngine::Fast => {
+                ExecStage::Fast(FastStageProcessor3D::new(k, nx, ny, stream_planes, mesh_nz))
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::design::{synthesize, ExecMode, MemKind, Workload};
-    use crate::exec2d::{simulate_2d, simulate_2d_traced, simulate_mesh_2d};
+    use crate::design::{synthesize, ExecMode, MemKind, StencilDesign, Workload};
+    use crate::device::FpgaDevice;
+    use crate::exec2d::{simulate_2d, simulate_mesh_2d};
     use crate::exec3d::simulate_3d;
+    use crate::window::ScalarEngine;
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
-    use sf_mesh::{norms, Mesh2D, Mesh3D};
-    use sf_telemetry::{chrome::to_chrome_json, metrics::to_metrics_json};
+    use sf_mesh::{norms, Batch2D, Batch3D, Mesh2D, Mesh3D};
+    use sf_telemetry::{chrome::to_chrome_json, metrics::to_metrics_json, Recorder};
 
     fn dev() -> FpgaDevice {
         FpgaDevice::u280()
@@ -817,7 +439,9 @@ mod tests {
         .unwrap();
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
         let (scalar, scalar_rep) = simulate_2d(&dev(), &ds, &[Poisson2D], &batch, 12);
-        let (fast, fast_rep) = simulate_2d_fast(&dev(), &ds, &[Poisson2D], &batch, 12);
+        let off = &mut Recorder::disabled();
+        let (fast, fast_rep) =
+            simulate_2d_exec(ExecEngine::Fast, &dev(), &ds, &[Poisson2D], &batch, 12, off);
         assert!(norms::bit_equal(fast.as_slice(), scalar.as_slice()));
         assert_eq!(fast_rep.total_cycles, scalar_rep.total_cycles);
         let expect = reference::run_2d(&Poisson2D, &m, 12);
@@ -834,7 +458,8 @@ mod tests {
         let batch = Batch3D::from_meshes(std::slice::from_ref(&m));
         let k = Jacobi3D::smoothing();
         let (scalar, _) = simulate_3d(&dev(), &ds, &[k], &batch, 6);
-        let (fast, _) = simulate_3d_fast(&dev(), &ds, &[k], &batch, 6);
+        let off = &mut Recorder::disabled();
+        let (fast, _) = simulate_3d_exec(ExecEngine::Fast, &dev(), &ds, &[k], &batch, 6, off);
         assert!(norms::bit_equal(fast.as_slice(), scalar.as_slice()));
         let expect = reference::run_3d(&k, &m, 6);
         assert!(norms::bit_equal(fast.mesh(0).as_slice(), expect.as_slice()));
@@ -856,12 +481,24 @@ mod tests {
         .unwrap();
         let (scalar, _) = simulate_mesh_2d(&dev(), &ds, &[Poisson2D], &m, 16);
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
-        let (fast, _) = simulate_2d_fast(&dev(), &ds, &[Poisson2D], &batch, 16);
+        let off = &mut Recorder::disabled();
+        let (fast, _) =
+            simulate_2d_exec(ExecEngine::Fast, &dev(), &ds, &[Poisson2D], &batch, 16, off);
         assert!(norms::bit_equal(fast.mesh(0).as_slice(), scalar.as_slice()));
+    }
+
+    /// Chrome and flat-metrics JSON of one traced run.
+    fn traces(run: impl FnOnce(&mut Recorder), ds: &StencilDesign) -> (String, String) {
+        let mut rec = Recorder::enabled(ds.freq_hz / 1e6);
+        run(&mut rec);
+        (to_chrome_json(&rec), to_metrics_json(&rec))
     }
 
     #[test]
     fn fast_traces_byte_identical_to_scalar() {
+        // The chain labels `window.*` events with `Stage::UNITS` and
+        // samples `window_fill`, so a wrong `ExecStage` delegation shows
+        // up as a trace difference.
         let m = Mesh2D::<f32>::random(40, 24, 3, -1.0, 1.0);
         let wl = Workload::D2 { nx: 40, ny: 24, batch: 1 };
         let ds = synthesize(
@@ -875,13 +512,28 @@ mod tests {
         )
         .unwrap();
         let batch = Batch2D::from_meshes(std::slice::from_ref(&m));
-        let mut rec_s = Recorder::enabled(ds.freq_hz / 1e6);
-        let _ = simulate_2d_traced(&dev(), &ds, &[Poisson2D], &batch, 8, &mut rec_s);
-        let mut rec_f = Recorder::enabled(ds.freq_hz / 1e6);
-        let _ =
-            simulate_2d_exec(ExecEngine::Fast, &dev(), &ds, &[Poisson2D], &batch, 8, &mut rec_f);
-        assert_eq!(to_chrome_json(&rec_s), to_chrome_json(&rec_f));
-        assert_eq!(to_metrics_json(&rec_s), to_metrics_json(&rec_f));
+        let ks = [Poisson2D];
+        let scalar =
+            traces(|r| drop(simulate_2d_exec(ScalarEngine, &dev(), &ds, &ks, &batch, 8, r)), &ds);
+        for e in [ExecEngine::Scalar, ExecEngine::Fast] {
+            let t = traces(|r| drop(simulate_2d_exec(e, &dev(), &ds, &ks, &batch, 8, r)), &ds);
+            assert_eq!(t, scalar, "2D traces differ on {e}");
+        }
+
+        let m = Mesh3D::<f32>::random(19, 10, 8, 5, -1.0, 1.0);
+        let wl = Workload::D3 { nx: 19, ny: 10, nz: 8, batch: 1 };
+        let ds =
+            synthesize(&dev(), &StencilSpec::jacobi(), 8, 3, ExecMode::Baseline, MemKind::Hbm, &wl)
+                .unwrap();
+        let batch = Batch3D::from_meshes(std::slice::from_ref(&m));
+        let ks = [Jacobi3D::smoothing()];
+        let scalar =
+            traces(|r| drop(simulate_3d_exec(ScalarEngine, &dev(), &ds, &ks, &batch, 6, r)), &ds);
+        assert!(scalar.1.contains("window.planes_streamed"), "3D trace names planes");
+        for e in [ExecEngine::Scalar, ExecEngine::Fast] {
+            let t = traces(|r| drop(simulate_3d_exec(e, &dev(), &ds, &ks, &batch, 6, r)), &ds);
+            assert_eq!(t, scalar, "3D traces differ on {e}");
+        }
     }
 
     #[test]

@@ -35,9 +35,11 @@
 //!   [`report::SimReport::from_plan`].
 //! * [`exec2d`]/[`exec3d`] — baseline / batched / tiled executors producing
 //!   numerics plus a [`report::SimReport`]; [`exec_batch`] fans batch
-//!   members across worker threads, [`resilient`] and [`recovery`] add
-//!   fault injection and checkpoint/rollback, and [`fast`] selects the
-//!   scalar or lane-parallel engine for each of them.
+//!   members across worker threads, and [`resilient`] and [`recovery`] add
+//!   fault injection and checkpoint/rollback. Each takes its engine as a
+//!   value: [`fast`] holds [`ExecEngine`] (scalar or lane-parallel stage
+//!   processors, for kernels with a lane impl) and re-exports the ten
+//!   `*_exec` entry points; [`window::ScalarEngine`] runs any kernel.
 //! * [`power`] — the xbutil-equivalent power/energy model.
 //! * [`profile`] — schedule-level telemetry: feeds an `sf-telemetry`
 //!   [`Recorder`] with per-pass/per-tile spans, AXI channel utilisation,
@@ -68,17 +70,14 @@ pub mod window;
 pub use design::{ExecMode, MemKind, StencilDesign, SynthesisError};
 pub use device::{FpgaDevice, MemorySpec};
 pub use error::ExecError;
-pub use exec_batch::{simulate_batch_2d_parallel, simulate_batch_3d_parallel};
 pub use fast::{
-    simulate_2d_exec, simulate_2d_fast, simulate_3d_exec, simulate_3d_fast,
-    simulate_batch_2d_parallel_exec, simulate_batch_3d_parallel_exec, ExecEngine, FastEngine,
-};
-pub use recovery::{
-    simulate_2d_recoverable, simulate_3d_recoverable, simulate_batch_2d_recoverable,
-    simulate_batch_3d_recoverable,
+    simulate_2d_exec, simulate_2d_recoverable_exec, simulate_2d_resilient_exec, simulate_3d_exec,
+    simulate_3d_recoverable_exec, simulate_3d_resilient_exec, simulate_batch_2d_parallel_exec,
+    simulate_batch_2d_recoverable_exec, simulate_batch_3d_parallel_exec,
+    simulate_batch_3d_recoverable_exec, ExecEngine,
 };
 pub use report::SimReport;
-pub use resilient::{plan_with_faults, simulate_2d_resilient, simulate_3d_resilient, FaultyPlan};
+pub use resilient::{plan_with_faults, FaultyPlan};
 pub use resources::ResourceUsage;
 pub use sf_faults::{
     AxiVerdict, FaultInjector, FaultKind, FaultPlan, RetryPolicy, Watchdog, WatchdogTrip,

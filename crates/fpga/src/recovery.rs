@@ -1,7 +1,7 @@
 //! Recoverable execution: checkpoint/rollback with ABFT detection layered
 //! over the resilient executors.
 //!
-//! The temporal-batch loop of [`crate::resilient::simulate_2d_resilient`]
+//! The temporal-batch loop of [`crate::resilient::simulate_2d_resilient_exec`]
 //! already advances the solve `p_eff` iterations per pipeline pass; this
 //! module groups passes into **checkpoint segments** of
 //! [`RecoveryConfig::checkpoint_every`] passes. Per segment:
@@ -43,9 +43,7 @@ use crate::error::{check_run, ExecError};
 use crate::power;
 use crate::report::SimReport;
 use crate::resilient::{pass_budget, plan_with_faults, resilient, FaultyPlan};
-use crate::window::{
-    pass_sizes, run_passes, ChainFaults, Engine2D, Engine3D, ScalarEngine, Stage, Stamps,
-};
+use crate::window::{pass_sizes, run_passes, ChainFaults, Engine2D, Engine3D, Stage, Stamps};
 use sf_faults::{FaultInjector, FaultPlan, RetryPolicy};
 use sf_kernels::{reference, StencilOp2D, StencilOp3D};
 use sf_mesh::{Batch2D, Batch3D, Element, Mesh2D, Mesh3D};
@@ -386,47 +384,25 @@ fn recoverable<T: Element, K, S: Stage<T>>(
     Ok((out, report, stats))
 }
 
-/// Checkpoint/rollback variant of [`crate::resilient::simulate_2d_resilient`].
+/// Checkpoint/rollback variant of
+/// [`crate::resilient::simulate_2d_resilient_exec`].
 ///
 /// With [`RecoveryPolicy::Rerun`] this *is* the resilient executor (plus
 /// an empty [`RecoveryStats`]): detections surface to the caller exactly
 /// as before. With [`RecoveryPolicy::Rollback`] the run checkpoints every
 /// [`RecoveryConfig::checkpoint_every`] passes, verifies each segment
 /// with an ABFT signature, and rolls back/replays on watchdog or ABFT
-/// detection — returning the recovered result plus the accounting.
+/// detection — returning the recovered result plus the accounting. The
+/// segment replay goes through `engine`; the ABFT expected side always
+/// uses the scalar golden reference, so every engine is verified against
+/// the same signatures.
+///
+/// # Errors
+/// The resilient executor's errors, plus [`ExecError::RecoveryExhausted`]
+/// and [`ExecError::Checkpoint`] from the rollback loop.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_2d_recoverable<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError> {
-    simulate_2d_recoverable_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        policy,
-        rcfg,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_2d_recoverable`]. The segment replay
-/// goes through the engine; the ABFT expected side always uses the scalar
-/// golden reference, so a lane-parallel engine is verified against the
-/// same signatures the scalar run produces.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_2d_recoverable_core<T, K, E>(
-    engine: &E,
+pub fn simulate_2d_recoverable_exec<T, K, E>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -461,39 +437,14 @@ where
     Ok((Batch2D::from_vec(nx, ny, b, out), report, stats))
 }
 
-/// Checkpoint/rollback variant of [`crate::resilient::simulate_3d_resilient`] (see
-/// [`simulate_2d_recoverable`]); the streamed unit is a plane.
+/// 3D twin of [`simulate_2d_recoverable_exec`]; the streamed unit is a
+/// plane.
+///
+/// # Errors
+/// See [`simulate_2d_recoverable_exec`].
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_3d_recoverable<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError> {
-    simulate_3d_recoverable_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        policy,
-        rcfg,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_3d_recoverable`] (see
-/// [`simulate_2d_recoverable_core`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_3d_recoverable_core<T, K, E>(
-    engine: &E,
+pub fn simulate_3d_recoverable_exec<T, K, E>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -601,45 +552,20 @@ fn batch_recoverable<T: Element, K: Sync, S: Stage<T>>(
 }
 
 /// Checkpoint/rollback variant of
-/// [`crate::exec_batch::simulate_batch_2d_parallel`]: each batch member
-/// runs its own checkpoint/ABFT/rollback loop as one work item for
+/// [`crate::exec_batch::simulate_batch_2d_parallel_exec`]: each batch
+/// member runs its own checkpoint/ABFT/rollback loop as one work item for
 /// [`sf_par::par_map`], with a fault injector seeded from `base_plan` and
 /// the mesh index. AXI faults are applied once at the batched plan level
 /// (they model the shared memory interface, not a member stream).
 ///
 /// Output, stats and report are byte-identical for every `jobs` value.
+///
+/// # Errors
+/// See [`simulate_2d_recoverable_exec`]; [`ExecError::Unsupported`] under
+/// [`RecoveryPolicy::Rerun`].
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_2d_recoverable<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport, RecoveryStats), ExecError> {
-    simulate_batch_2d_recoverable_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        base_plan,
-        policy,
-        rcfg,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_batch_2d_recoverable`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_2d_recoverable_core<T, K, E>(
-    engine: &E,
+pub fn simulate_batch_2d_recoverable_exec<T, K, E>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -676,39 +602,13 @@ where
     Ok((Batch2D::from_vec(nx, ny, b, out), report, stats))
 }
 
-/// 3D twin of [`simulate_batch_2d_recoverable`].
+/// 3D twin of [`simulate_batch_2d_recoverable_exec`].
+///
+/// # Errors
+/// See [`simulate_batch_2d_recoverable_exec`].
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_3d_recoverable<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    base_plan: &FaultPlan,
-    policy: &RetryPolicy,
-    rcfg: &RecoveryConfig,
-    jobs: usize,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport, RecoveryStats), ExecError> {
-    simulate_batch_3d_recoverable_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        base_plan,
-        policy,
-        rcfg,
-        jobs,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_batch_3d_recoverable`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch_3d_recoverable_core<T, K, E>(
-    engine: &E,
+pub fn simulate_batch_3d_recoverable_exec<T, K, E>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -749,6 +649,7 @@ where
 mod tests {
     use super::*;
     use crate::design::{synthesize, ExecMode, MemKind};
+    use crate::window::ScalarEngine;
     use sf_faults::FaultKind;
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
     use sf_mesh::norms;
@@ -787,7 +688,8 @@ mod tests {
         let (ds, batch, m) = poisson_setup();
         let mut inj = FaultInjector::disabled();
         let mut rec = Recorder::enabled(300.0);
-        let (out, rep, stats) = simulate_2d_recoverable(
+        let (out, rep, stats) = simulate_2d_recoverable_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -816,7 +718,8 @@ mod tests {
         let (ds, batch, m) = poisson_setup();
         let mut inj = FaultInjector::new(FaultPlan::single(42, FaultKind::BitFlip, 1_000_000));
         let mut rec = Recorder::enabled(300.0);
-        let (out, _, stats) = simulate_2d_recoverable(
+        let (out, _, stats) = simulate_2d_recoverable_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -850,7 +753,8 @@ mod tests {
         let (ds, batch, _) = poisson_setup();
         let mut inj = FaultInjector::new(FaultPlan::single(42, FaultKind::BitFlip, 1_000_000));
         let mut rec = Recorder::enabled(300.0);
-        let (_, _, stats) = simulate_2d_recoverable(
+        let (_, _, stats) = simulate_2d_recoverable_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -886,7 +790,8 @@ mod tests {
         let (ds, batch, m) = poisson_setup();
         let mut inj = FaultInjector::new(FaultPlan::single(7, FaultKind::FifoDrop, 1_000_000));
         let mut rec = Recorder::disabled();
-        let (out, _, stats) = simulate_2d_recoverable(
+        let (out, _, stats) = simulate_2d_recoverable_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -910,7 +815,8 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::single(7, FaultKind::FifoDrop, 1_000_000));
         let mut rec = Recorder::disabled();
         let cfg = RecoveryConfig { policy: RecoveryPolicy::Rerun, ..RecoveryConfig::default() };
-        let r = simulate_2d_recoverable(
+        let r = simulate_2d_recoverable_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -935,7 +841,8 @@ mod tests {
         let k = Jacobi3D::smoothing();
         let mut inj = FaultInjector::new(FaultPlan::single(21, FaultKind::BitFlip, 1_000_000));
         let mut rec = Recorder::disabled();
-        let (out, _, stats) = simulate_3d_recoverable(
+        let (out, _, stats) = simulate_3d_recoverable_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[k],
@@ -961,7 +868,8 @@ mod tests {
         let mut inj = FaultInjector::disabled();
         let mut rec = Recorder::disabled();
         let cfg = RecoveryConfig { spill_dir: Some(dir.clone()), ..rollback_cfg(2) };
-        let (_, _, _stats) = simulate_2d_recoverable(
+        let (_, _, _stats) = simulate_2d_recoverable_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -1000,7 +908,8 @@ mod tests {
         let plan = FaultPlan::single(99, FaultKind::BitFlip, 200_000);
         let run = |jobs: usize| {
             let mut rec = Recorder::disabled();
-            simulate_batch_2d_recoverable(
+            simulate_batch_2d_recoverable_exec(
+                ScalarEngine,
                 &dev(),
                 &ds,
                 &[Poisson2D],

@@ -20,11 +20,8 @@ use crate::device::FpgaDevice;
 use crate::error::{check_run, ExecError};
 use crate::power;
 use crate::report::SimReport;
-use crate::window::{
-    pass_sizes, run_passes, ChainFaults, Engine2D, Engine3D, ScalarEngine, Stage, Stamps,
-};
+use crate::window::{pass_sizes, run_passes, ChainFaults, Engine2D, Engine3D, Stage, Stamps};
 use sf_faults::{AxiVerdict, FaultInjector, RetryPolicy};
-use sf_kernels::{StencilOp2D, StencilOp3D};
 use sf_mesh::{Batch2D, Batch3D, Element};
 use sf_telemetry::Recorder;
 
@@ -134,37 +131,17 @@ pub(crate) fn resilient<T: Element, K, S: Stage<T>>(
     Ok((out, report))
 }
 
-/// Fault-aware [`crate::exec2d::simulate_2d`]: never panics on datapath
-/// faults or shape mismatches, charges AXI retry backoff into the report,
-/// and feeds `fault.*` counters into `rec`.
+/// Fault-aware [`crate::exec2d::simulate_2d_exec`]: never panics on
+/// datapath faults or shape mismatches, charges AXI retry backoff into the
+/// report, and feeds `fault.*` counters into `rec`. Injection points and
+/// watchdog behavior are the same for every engine.
+///
+/// # Errors
+/// [`ExecError`] on a shape mismatch, an exhausted AXI retry budget or a
+/// watchdog trip.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_2d_resilient<T: Element, K: StencilOp2D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch2D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport), ExecError> {
-    simulate_2d_resilient_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        policy,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_2d_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_2d_resilient_core<T: Element, K, E: Engine2D<T, K>>(
-    engine: &E,
+pub fn simulate_2d_resilient_exec<T: Element, K, E: Engine2D<T, K>>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -177,51 +154,20 @@ pub(crate) fn simulate_2d_resilient_core<T: Element, K, E: Engine2D<T, K>>(
     let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
     let wl = Workload::D2 { nx, ny, batch: b };
     let make = |k: &K, units, mesh| engine.stage(k, nx, units, mesh);
-    let (out, report) = resilient(
-        dev,
-        design,
-        stages_per_iter,
-        make,
-        input.as_slice(),
-        &wl,
-        niter,
-        inj,
-        policy,
-        rec,
-    )?;
+    let flat = input.as_slice();
+    let (out, report) =
+        resilient(dev, design, stages_per_iter, make, flat, &wl, niter, inj, policy, rec)?;
     Ok((Batch2D::from_vec(nx, ny, b, out), report))
 }
 
-/// Fault-aware [`crate::exec3d::simulate_3d`] (see
-/// [`simulate_2d_resilient`]); the streamed unit is a plane.
+/// Fault-aware [`crate::exec3d::simulate_3d_exec`] (see
+/// [`simulate_2d_resilient_exec`]); the streamed unit is a plane.
+///
+/// # Errors
+/// See [`simulate_2d_resilient_exec`].
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_3d_resilient<T: Element, K: StencilOp3D<T> + Clone>(
-    dev: &FpgaDevice,
-    design: &StencilDesign,
-    stages_per_iter: &[K],
-    input: &Batch3D<T>,
-    niter: usize,
-    inj: &mut FaultInjector,
-    policy: &RetryPolicy,
-    rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport), ExecError> {
-    simulate_3d_resilient_core(
-        &ScalarEngine,
-        dev,
-        design,
-        stages_per_iter,
-        input,
-        niter,
-        inj,
-        policy,
-        rec,
-    )
-}
-
-/// Engine-generic body of [`simulate_3d_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_3d_resilient_core<T: Element, K, E: Engine3D<T, K>>(
-    engine: &E,
+pub fn simulate_3d_resilient_exec<T: Element, K, E: Engine3D<T, K>>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -234,18 +180,9 @@ pub(crate) fn simulate_3d_resilient_core<T: Element, K, E: Engine3D<T, K>>(
     let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
     let wl = Workload::D3 { nx, ny, nz, batch: b };
     let make = |k: &K, units, mesh| engine.stage(k, nx, ny, units, mesh);
-    let (out, report) = resilient(
-        dev,
-        design,
-        stages_per_iter,
-        make,
-        input.as_slice(),
-        &wl,
-        niter,
-        inj,
-        policy,
-        rec,
-    )?;
+    let flat = input.as_slice();
+    let (out, report) =
+        resilient(dev, design, stages_per_iter, make, flat, &wl, niter, inj, policy, rec)?;
     Ok((Batch3D::from_vec(nx, ny, nz, b, out), report))
 }
 
@@ -253,6 +190,7 @@ pub(crate) fn simulate_3d_resilient_core<T: Element, K, E: Engine3D<T, K>>(
 mod tests {
     use super::*;
     use crate::design::{synthesize, ExecMode, MemKind};
+    use crate::window::ScalarEngine;
     use sf_faults::{FaultKind, FaultPlan};
     use sf_kernels::{reference, Jacobi3D, Poisson2D, StencilSpec};
     use sf_mesh::{norms, Mesh2D, Mesh3D};
@@ -278,7 +216,8 @@ mod tests {
         let mut inj = FaultInjector::new(plan);
         let policy = RetryPolicy::default();
         let mut rec = Recorder::disabled();
-        let r = simulate_2d_resilient(
+        let r = simulate_2d_resilient_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -397,7 +336,8 @@ mod tests {
         let batch = Batch2D::<f32>::zeros(16, 8, 3);
         let mut inj = FaultInjector::disabled();
         let mut rec = Recorder::disabled();
-        let r = simulate_2d_resilient(
+        let r = simulate_2d_resilient_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[Poisson2D],
@@ -421,7 +361,8 @@ mod tests {
         let k = Jacobi3D::smoothing();
         let mut inj = FaultInjector::disabled();
         let mut rec = Recorder::disabled();
-        let (out, _) = simulate_3d_resilient(
+        let (out, _) = simulate_3d_resilient_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[k],
@@ -447,7 +388,8 @@ mod tests {
         let k = Jacobi3D::smoothing();
         let mut inj = FaultInjector::new(FaultPlan::single(13, FaultKind::FifoDrop, 1_000_000));
         let mut rec = Recorder::disabled();
-        let r = simulate_3d_resilient(
+        let r = simulate_3d_resilient_exec(
+            ScalarEngine,
             &dev(),
             &ds,
             &[k],

@@ -23,11 +23,13 @@
 //! recoverable, tiled or sharded, streams through these two functions.
 //!
 //! Stages come from an **execution engine** ([`Engine2D`]/[`Engine3D`]): a
-//! factory for the per-stage processors. The [`ScalarEngine`] builds the
-//! cell-at-a-time [`StageProcessor2D`]/[`StageProcessor3D`]; the vectorized
-//! fast path (`crate::fast`) plugs in lane-parallel processors, so the
-//! streaming schedule, telemetry hooks, fault hooks and drain logic are
-//! shared — and therefore byte-identical — across both engines.
+//! factory for the per-stage processors, passed by value to every
+//! executor. The [`ScalarEngine`] builds the cell-at-a-time
+//! [`StageProcessor2D`]/[`StageProcessor3D`] for any kernel;
+//! [`crate::fast::ExecEngine`] builds either those or the lane-parallel
+//! processors for kernels with a lane impl, so the streaming schedule,
+//! telemetry hooks, fault hooks and drain logic are shared — and therefore
+//! byte-identical — across engines.
 
 use crate::design::StencilDesign;
 use crate::error::ExecError;

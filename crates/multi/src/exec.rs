@@ -29,11 +29,8 @@ use crate::plan::{sharded_plan, MultiConfig, MultiError, ShardedPlan};
 use sf_fpga::cycles;
 use sf_fpga::design::{StencilDesign, Workload};
 use sf_fpga::error::check_run;
-use sf_fpga::window::{
-    pass_chain, pass_sizes, run_chain, Engine2D, Engine3D, ScalarEngine, Stage, Stamps,
-};
-use sf_fpga::{ExecEngine, FastEngine, FpgaDevice, SimReport};
-use sf_kernels::{LaneElement, LaneOp2D, LaneOp3D};
+use sf_fpga::window::{pass_chain, pass_sizes, run_chain, Engine2D, Engine3D, Stage, Stamps};
+use sf_fpga::{FpgaDevice, SimReport};
 use sf_mesh::{Batch2D, Batch3D, Element};
 use sf_telemetry::{Recorder, StallClass};
 
@@ -187,8 +184,8 @@ fn annotate(rec: &mut Recorder, plan: &ShardedPlan) {
 }
 
 /// Multi-device sharded twin of
-/// [`sf_fpga::fast::simulate_batch_2d_parallel_exec`]: scalar or
-/// vectorized fast path, selected at runtime.
+/// [`sf_fpga::exec_batch::simulate_batch_2d_parallel_exec`], with stages
+/// built by `engine`.
 ///
 /// Output is bit-identical to the single-device executors for every
 /// device count, engine and `jobs` value; the [`SimReport`] prices the
@@ -202,8 +199,8 @@ fn annotate(rec: &mut Recorder, plan: &ShardedPlan) {
 /// Panics on a design/input mismatch (wrong batch size, stage count) or
 /// `niter == 0`, exactly like the single-device batch executors.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_2d_sharded_exec<T: LaneElement, K: LaneOp2D<T> + Clone + Sync>(
-    engine: ExecEngine,
+pub fn simulate_batch_2d_sharded_exec<T, K, E>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -212,21 +209,19 @@ pub fn simulate_batch_2d_sharded_exec<T: LaneElement, K: LaneOp2D<T> + Clone + S
     cfg: &MultiConfig,
     jobs: usize,
     rec: &mut Recorder,
-) -> Result<(Batch2D<T>, SimReport), MultiError> {
+) -> Result<(Batch2D<T>, SimReport), MultiError>
+where
+    T: Element,
+    K: Sync,
+    E: Engine2D<T, K> + Sync,
+{
     let (nx, ny, b) = (input.nx(), input.ny(), input.batch());
     let wl = Workload::D2 { nx, ny, batch: b };
+    let make = |k: &K, slab| engine.stage(k, nx, slab, slab);
     let flat = input.as_slice();
-    let out = match engine {
-        ExecEngine::Scalar => {
-            let make = |k: &K, slab| Engine2D::<T, K>::stage(&ScalarEngine, k, nx, slab, slab);
-            sharded(dev, design, stages_per_iter, make, flat, &wl, niter, cfg, jobs, rec)
-        }
-        ExecEngine::Fast => {
-            let make = |k: &K, slab| Engine2D::<T, K>::stage(&FastEngine, k, nx, slab, slab);
-            sharded(dev, design, stages_per_iter, make, flat, &wl, niter, cfg, jobs, rec)
-        }
-    };
-    out.map(|(out, report)| (Batch2D::from_vec(nx, ny, b, out), report))
+    let (out, report) =
+        sharded(dev, design, stages_per_iter, make, flat, &wl, niter, cfg, jobs, rec)?;
+    Ok((Batch2D::from_vec(nx, ny, b, out), report))
 }
 
 /// 3D twin of [`simulate_batch_2d_sharded_exec`].
@@ -237,8 +232,8 @@ pub fn simulate_batch_2d_sharded_exec<T: LaneElement, K: LaneOp2D<T> + Clone + S
 /// # Panics
 /// See [`simulate_batch_2d_sharded_exec`].
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_batch_3d_sharded_exec<T: LaneElement, K: LaneOp3D<T> + Clone + Sync>(
-    engine: ExecEngine,
+pub fn simulate_batch_3d_sharded_exec<T, K, E>(
+    engine: E,
     dev: &FpgaDevice,
     design: &StencilDesign,
     stages_per_iter: &[K],
@@ -247,19 +242,17 @@ pub fn simulate_batch_3d_sharded_exec<T: LaneElement, K: LaneOp3D<T> + Clone + S
     cfg: &MultiConfig,
     jobs: usize,
     rec: &mut Recorder,
-) -> Result<(Batch3D<T>, SimReport), MultiError> {
+) -> Result<(Batch3D<T>, SimReport), MultiError>
+where
+    T: Element,
+    K: Sync,
+    E: Engine3D<T, K> + Sync,
+{
     let (nx, ny, nz, b) = (input.nx(), input.ny(), input.nz(), input.batch());
     let wl = Workload::D3 { nx, ny, nz, batch: b };
+    let make = |k: &K, slab| engine.stage(k, nx, ny, slab, slab);
     let flat = input.as_slice();
-    let out = match engine {
-        ExecEngine::Scalar => {
-            let make = |k: &K, slab| Engine3D::<T, K>::stage(&ScalarEngine, k, nx, ny, slab, slab);
-            sharded(dev, design, stages_per_iter, make, flat, &wl, niter, cfg, jobs, rec)
-        }
-        ExecEngine::Fast => {
-            let make = |k: &K, slab| Engine3D::<T, K>::stage(&FastEngine, k, nx, ny, slab, slab);
-            sharded(dev, design, stages_per_iter, make, flat, &wl, niter, cfg, jobs, rec)
-        }
-    };
-    out.map(|(out, report)| (Batch3D::from_vec(nx, ny, nz, b, out), report))
+    let (out, report) =
+        sharded(dev, design, stages_per_iter, make, flat, &wl, niter, cfg, jobs, rec)?;
+    Ok((Batch3D::from_vec(nx, ny, nz, b, out), report))
 }
