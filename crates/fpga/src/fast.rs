@@ -35,8 +35,9 @@
 //! through them on [`ScalarEngine`](crate::window::ScalarEngine).
 //!
 //! Iteration is row-blocked: each emitted row (2D) or row-of-plane (3D) is
-//! processed left boundary → lane packs → scalar epilogue → right boundary,
-//! touching each cache line once per stencil row.
+//! written in place, left boundary → lane packs → scalar epilogue → right
+//! boundary, into the unit the window just evicted (see
+//! [`crate::window`]), touching each cache line once per stencil row.
 
 pub use crate::exec2d::simulate_2d_exec;
 pub use crate::exec3d::simulate_3d_exec;
@@ -46,7 +47,9 @@ pub use crate::recovery::{
     simulate_batch_3d_recoverable_exec,
 };
 pub use crate::resilient::{simulate_2d_resilient_exec, simulate_3d_resilient_exec};
-use crate::window::{Engine2D, Engine3D, RingBuffer, Stage, StageProcessor2D, StageProcessor3D};
+use crate::window::{
+    write_boundary, Engine2D, Engine3D, RingBuffer, Stage, StageProcessor2D, StageProcessor3D,
+};
 use serde::{Deserialize, Serialize};
 use sf_kernels::{LaneElement, LaneOp2D, LaneOp3D};
 use sf_mesh::Element;
@@ -84,45 +87,35 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
         }
     }
 
-    fn emit(&mut self, y: usize) -> Vec<T> {
-        let (nx, r) = (self.nx, self.r);
+    /// Compute output row `y` in place into `reuse` (a row the window
+    /// evicted) or, while the window fills and during the drain, into a
+    /// fresh row. Every cell is written, since a reused row holds a stale
+    /// unit.
+    fn emit(&mut self, y: usize, reuse: Option<Vec<T>>) -> Vec<T> {
+        let (nx, r, k) = (self.nx, self.r, &self.k);
+        let mut out = reuse.unwrap_or_else(|| vec![T::default(); nx]);
         let ly = y % self.mesh_ny;
-        let y_interior = ly >= r && ly + r < self.mesh_ny;
-        // Every cell is produced exactly once (left boundary, lane body,
-        // scalar epilogue, right boundary), so the row is built by pushing
-        // into reserved capacity — no default-fill pass over the row.
-        let mut out = Vec::with_capacity(nx);
-        if !y_interior {
-            // Boundary row of its mesh: every cell is a boundary cell.
-            out.extend(self.ring.get(y).iter().map(|c| self.k.on_boundary(*c)));
-        } else {
+        if ly >= r && ly + r < self.mesh_ny {
             // Interior ly ≥ r implies y ≥ r, so the window rows y−r..=y+r
-            // are all resident; hoist the borrows out of the cell loop.
-            let rows: Vec<&[T]> = (0..2 * r + 1).map(|d| self.ring.get(y + d - r)).collect();
-            let center = rows[r];
-            out.extend(center.iter().take(r.min(nx)).map(|c| self.k.on_boundary(*c)));
-            let hi = nx.saturating_sub(r);
-            let mut x = r;
-            while x + LANES <= hi {
-                let at = |dx: i32, dy: i32, c: usize| {
-                    T::gather_lane(rows[(dy + r as i32) as usize], (x as i32 + dx) as usize, c)
-                };
-                let lanes = self.k.apply_lanes(&at);
-                let mut buf = [T::default(); LANES];
-                T::scatter(lanes, &mut buf, 0);
-                out.extend_from_slice(&buf);
-                x += LANES;
-            }
-            // Scalar epilogue for the ragged tail (hi − x < LANES cells).
-            while x < hi {
-                out.push(
-                    self.k.apply(|dx, dy| rows[(dy + r as i32) as usize][(x as i32 + dx) as usize]),
-                );
-                x += 1;
-            }
-            out.extend(center.iter().skip(hi.max(r)).map(|c| self.k.on_boundary(*c)));
+            // are all resident; borrow them once for the whole row.
+            let rows = self.ring.window(y - r, 2 * r + 1);
+            let row = move |dy: i32| &rows[(dy + r as i32) as usize];
+            write_row(
+                &mut out,
+                &rows[r],
+                r,
+                |c| k.on_boundary(c),
+                |x| {
+                    k.apply_lanes(&move |dx, dy, c| {
+                        T::gather_lane(row(dy), (x as i32 + dx) as usize, c)
+                    })
+                },
+                |x| k.apply(move |dx, dy| row(dy)[(x as i32 + dx) as usize]),
+            );
+        } else {
+            // Boundary row of its mesh: every cell is a boundary cell.
+            write_boundary(&mut out, self.ring.get(y), |c| k.on_boundary(c));
         }
-        debug_assert_eq!(out.len(), nx);
         self.next_out = y + 1;
         out
     }
@@ -132,13 +125,9 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
     pub fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
         assert_eq!(row.len(), self.nx, "row width mismatch");
         assert!(self.ring.pushed() < self.stream_rows, "stream overrun");
-        self.ring.push(row);
+        let evicted = self.ring.push(row);
         let j = self.ring.pushed() - 1;
-        if j >= self.r {
-            Some(self.emit(j - self.r))
-        } else {
-            None
-        }
+        (j >= self.r).then(|| self.emit(j - self.r, evicted))
     }
 
     /// After the last input row, drain the trailing `r` output rows.
@@ -146,7 +135,7 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
         assert_eq!(self.ring.pushed(), self.stream_rows, "stream incomplete");
         let mut out = Vec::new();
         while self.next_out < self.stream_rows {
-            out.push(self.emit(self.next_out));
+            out.push(self.emit(self.next_out, None));
         }
         out
     }
@@ -190,53 +179,44 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
         }
     }
 
-    fn emit(&mut self, z: usize) -> Vec<T> {
-        let (nx, ny, r) = (self.nx, self.ny, self.r);
+    /// Compute output plane `z` in place, row by row in storage order,
+    /// into `reuse` (a plane the window evicted) or a fresh plane, writing
+    /// every cell.
+    fn emit(&mut self, z: usize, reuse: Option<Vec<T>>) -> Vec<T> {
+        let (nx, ny, r, k) = (self.nx, self.ny, self.r, &self.k);
+        let mut out = reuse.unwrap_or_else(|| vec![T::default(); nx * ny]);
         let lz = z % self.mesh_nz;
-        let z_interior = lz >= r && lz + r < self.mesh_nz;
-        // Built row by row in storage order by pushing into reserved
-        // capacity — every cell is produced exactly once, so no
-        // default-fill pass over the plane.
-        let mut out = Vec::with_capacity(nx * ny);
-        if !z_interior {
-            out.extend(self.ring.get(z).iter().map(|c| self.k.on_boundary(*c)));
-        } else {
-            let planes: Vec<&[T]> = (0..2 * r + 1).map(|d| self.ring.get(z + d - r)).collect();
-            let center = planes[r];
+        if lz >= r && lz + r < self.mesh_nz {
+            let planes = self.ring.window(z - r, 2 * r + 1);
+            // The accessors capture by value, so a neighbour read does not
+            // chase references through nested closure environments.
+            let plane = move |dz: i32| &planes[(dz + r as i32) as usize];
             for y in 0..ny {
-                let row_off = y * nx;
-                let row_center = &center[row_off..row_off + nx];
-                let y_interior = y >= r && y + r < ny;
-                if !y_interior {
-                    out.extend(row_center.iter().map(|c| self.k.on_boundary(*c)));
+                let row_out = &mut out[y * nx..(y + 1) * nx];
+                let row_center = &planes[r][y * nx..(y + 1) * nx];
+                if y < r || y + r >= ny {
+                    write_boundary(row_out, row_center, |c| k.on_boundary(c));
                     continue;
                 }
-                out.extend(row_center.iter().take(r.min(nx)).map(|c| self.k.on_boundary(*c)));
-                let hi = nx.saturating_sub(r);
-                let mut x = r;
-                while x + LANES <= hi {
-                    let at = |dx: i32, dy: i32, dz: i32, c: usize| {
-                        let plane = planes[(dz + r as i32) as usize];
-                        let idx = ((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize;
-                        T::gather_lane(plane, idx, c)
-                    };
-                    let lanes = self.k.apply_lanes(&at);
-                    let mut buf = [T::default(); LANES];
-                    T::scatter(lanes, &mut buf, 0);
-                    out.extend_from_slice(&buf);
-                    x += LANES;
-                }
-                while x < hi {
-                    out.push(self.k.apply(|dx, dy, dz| {
-                        let plane = planes[(dz + r as i32) as usize];
-                        plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
-                    }));
-                    x += 1;
-                }
-                out.extend(row_center.iter().skip(hi.max(r)).map(|c| self.k.on_boundary(*c)));
+                let idx = move |x: usize, dx: i32, dy: i32| {
+                    ((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize
+                };
+                write_row(
+                    row_out,
+                    row_center,
+                    r,
+                    |c| k.on_boundary(c),
+                    |x| {
+                        k.apply_lanes(&move |dx, dy, dz, c| {
+                            T::gather_lane(plane(dz), idx(x, dx, dy), c)
+                        })
+                    },
+                    |x| k.apply(move |dx, dy, dz| plane(dz)[idx(x, dx, dy)]),
+                );
             }
+        } else {
+            write_boundary(&mut out, self.ring.get(z), |c| k.on_boundary(c));
         }
-        debug_assert_eq!(out.len(), nx * ny);
         self.next_out = z + 1;
         out
     }
@@ -245,13 +225,9 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
     pub fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
         assert_eq!(plane.len(), self.nx * self.ny, "plane size mismatch");
         assert!(self.ring.pushed() < self.stream_planes, "stream overrun");
-        self.ring.push(plane);
+        let evicted = self.ring.push(plane);
         let j = self.ring.pushed() - 1;
-        if j >= self.r {
-            Some(self.emit(j - self.r))
-        } else {
-            None
-        }
+        (j >= self.r).then(|| self.emit(j - self.r, evicted))
     }
 
     /// Drain the trailing `r` planes.
@@ -259,7 +235,7 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
         assert_eq!(self.ring.pushed(), self.stream_planes, "stream incomplete");
         let mut out = Vec::new();
         while self.next_out < self.stream_planes {
-            out.push(self.emit(self.next_out));
+            out.push(self.emit(self.next_out, None));
         }
         out
     }
@@ -268,6 +244,42 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
     pub fn window_fill(&self) -> usize {
         self.ring.resident()
     }
+}
+
+/// Write one output row of an interior row in place: the left boundary
+/// margin, the interior in lane packs (`pack(x)` computes the [`LANES`]
+/// cells from `x`), the ragged tail cell by cell (`cell(x)`), then the
+/// right boundary margin. Covers every cell of `out`, also when the row is
+/// narrower than `2r`.
+#[inline(always)]
+fn write_row<T: LaneElement>(
+    out: &mut [T],
+    center: &[T],
+    r: usize,
+    on_boundary: impl Fn(T) -> T,
+    pack: impl Fn(usize) -> T::Lanes,
+    cell: impl Fn(usize) -> T,
+) {
+    let nx = out.len();
+    let (lo, hi) = (r.min(nx), nx.saturating_sub(r));
+    write_boundary(&mut out[..lo], &center[..lo], &on_boundary);
+    let mut x = r;
+    while x + LANES <= hi {
+        // Scatter into a fixed-size stack buffer, then copy the run in one
+        // go: a scatter straight into `out` would bounds-check every lane
+        // of every component.
+        let mut buf = [T::default(); LANES];
+        T::scatter(pack(x), &mut buf, 0);
+        out[x..x + LANES].copy_from_slice(&buf);
+        x += LANES;
+    }
+    // Scalar epilogue for the ragged tail (hi − x < LANES cells).
+    while x < hi {
+        out[x] = cell(x);
+        x += 1;
+    }
+    let right = hi.max(r).min(nx);
+    write_boundary(&mut out[right..], &center[right..], on_boundary);
 }
 
 impl<T: LaneElement, K: LaneOp2D<T>> Stage<T> for FastStageProcessor2D<T, K> {

@@ -9,6 +9,13 @@
 //! input row `y+r` has arrived. Chaining `p × stages` processors reproduces
 //! the unrolled iterative pipeline of Fig. 2.
 //!
+//! As on the hardware, the window is a fixed set of buffers: once it is
+//! full, each arriving unit evicts the oldest one, and the stage writes its
+//! next output unit in place into that evicted unit — every cell of it,
+//! since it still holds stale data. Units move down the chain by value, so
+//! in steady state a stage allocates nothing; it allocates only while its
+//! window fills and for its `r` trailing drain units.
+//!
 //! The processors are *seam-aware* for batched execution: the stream may
 //! carry `B` stacked meshes, and a cell is only interior with respect to its
 //! own mesh (`mesh_extent`-periodic in the streaming dimension), so stencils
@@ -38,14 +45,23 @@ use sf_kernels::{StencilOp2D, StencilOp3D};
 use sf_mesh::Element;
 use sf_telemetry::{Recorder, TrackId};
 
-/// Fixed-capacity ring of stream units (rows or planes), addressable by
-/// absolute unit index.
+/// Fixed-capacity cyclic window of stream units (rows or planes),
+/// addressable by absolute unit index.
+///
+/// Once the window is full, every push evicts the oldest unit and hands it
+/// back to the caller. The stage processors reuse that evicted unit as the
+/// storage of their next output unit, so in steady state a stage allocates
+/// nothing: only while its window fills and for its trailing drain units.
+/// Resident units are kept oldest first (the slot handles rotate on each
+/// push; cells never move), so a stage borrows its whole neighbourhood as
+/// one slice via [`RingBuffer::window`].
 #[derive(Debug)]
 pub struct RingBuffer<T> {
+    /// Resident units, oldest first.
     slots: Vec<Vec<T>>,
     capacity: usize,
-    /// Number of units pushed so far; unit `i` lives in slot `i % capacity`
-    /// while `i ≥ pushed − capacity`.
+    /// Number of units pushed so far; unit `i` is resident while
+    /// `i ≥ pushed − resident`.
     pushed: usize,
 }
 
@@ -56,25 +72,34 @@ impl<T> RingBuffer<T> {
         RingBuffer { slots: Vec::with_capacity(capacity), capacity, pushed: 0 }
     }
 
-    /// Push the next unit (evicting the oldest once full).
-    pub fn push(&mut self, unit: Vec<T>) {
+    /// Push the next unit; once full, evict the oldest unit and return it.
+    pub fn push(&mut self, unit: Vec<T>) -> Option<Vec<T>> {
+        self.pushed += 1;
         if self.slots.len() < self.capacity {
             self.slots.push(unit);
+            None
         } else {
-            self.slots[self.pushed % self.capacity] = unit;
+            self.slots.rotate_left(1);
+            Some(std::mem::replace(&mut self.slots[self.capacity - 1], unit))
         }
-        self.pushed += 1;
     }
 
     /// Borrow unit `abs` (must still be resident).
     pub fn get(&self, abs: usize) -> &[T] {
+        &self.window(abs, 1)[0]
+    }
+
+    /// Borrow the `len` consecutive units starting at `first`, oldest
+    /// first (all must still be resident).
+    pub fn window(&self, first: usize, len: usize) -> &[Vec<T>] {
         debug_assert!(
-            abs < self.pushed && abs + self.capacity >= self.pushed,
-            "unit {abs} evicted (pushed {}, capacity {})",
+            first + len <= self.pushed && first + self.slots.len() >= self.pushed,
+            "units {first}..{} not resident (pushed {}, resident {})",
+            first + len,
             self.pushed,
-            self.capacity
+            self.slots.len()
         );
-        &self.slots[abs % self.capacity]
+        &self.slots[first + self.slots.len() - self.pushed..][..len]
     }
 
     /// Units pushed so far.
@@ -122,20 +147,25 @@ impl<T: Element, K: StencilOp2D<T>> StageProcessor2D<T, K> {
         }
     }
 
-    fn emit(&mut self, y: usize) -> Vec<T> {
-        let (nx, r) = (self.nx, self.r);
+    /// Compute output row `y` into `reuse` (a row the window evicted) or,
+    /// while the window fills and during the drain, into a fresh row.
+    /// Every cell is written, since a reused row holds a stale unit.
+    fn emit(&mut self, y: usize, reuse: Option<Vec<T>>) -> Vec<T> {
+        let (nx, r, k) = (self.nx, self.r, &self.k);
+        let mut out = reuse.unwrap_or_else(|| vec![T::default(); nx]);
         let ly = y % self.mesh_ny;
-        let y_interior = ly >= r && ly + r < self.mesh_ny;
-        let mut out = Vec::with_capacity(nx);
-        for x in 0..nx {
-            let v = if y_interior && x >= r && x + r < nx {
-                self.k.apply(|dx, dy| {
-                    self.ring.get((y as i32 + dy) as usize)[(x as i32 + dx) as usize]
-                })
-            } else {
-                self.k.on_boundary(self.ring.get(y)[x])
-            };
-            out.push(v);
+        if ly >= r && ly + r < self.mesh_ny {
+            let rows = self.ring.window(y - r, 2 * r + 1);
+            let center = &rows[r];
+            for (x, o) in out.iter_mut().enumerate() {
+                *o = if x >= r && x + r < nx {
+                    k.apply(|dx, dy| rows[(dy + r as i32) as usize][(x as i32 + dx) as usize])
+                } else {
+                    k.on_boundary(center[x])
+                };
+            }
+        } else {
+            write_boundary(&mut out, self.ring.get(y), |c| k.on_boundary(c));
         }
         self.next_out = y + 1;
         out
@@ -146,13 +176,9 @@ impl<T: Element, K: StencilOp2D<T>> StageProcessor2D<T, K> {
     pub fn push_row(&mut self, row: Vec<T>) -> Option<Vec<T>> {
         assert_eq!(row.len(), self.nx, "row width mismatch");
         assert!(self.ring.pushed() < self.stream_rows, "stream overrun");
-        self.ring.push(row);
+        let evicted = self.ring.push(row);
         let j = self.ring.pushed() - 1;
-        if j >= self.r {
-            Some(self.emit(j - self.r))
-        } else {
-            None
-        }
+        (j >= self.r).then(|| self.emit(j - self.r, evicted))
     }
 
     /// After the last input row, drain the trailing `r` output rows.
@@ -160,7 +186,7 @@ impl<T: Element, K: StencilOp2D<T>> StageProcessor2D<T, K> {
         assert_eq!(self.ring.pushed(), self.stream_rows, "stream incomplete");
         let mut out = Vec::new();
         while self.next_out < self.stream_rows {
-            out.push(self.emit(self.next_out));
+            out.push(self.emit(self.next_out, None));
         }
         out
     }
@@ -203,24 +229,30 @@ impl<T: Element, K: StencilOp3D<T>> StageProcessor3D<T, K> {
         }
     }
 
-    fn emit(&mut self, z: usize) -> Vec<T> {
-        let (nx, ny, r) = (self.nx, self.ny, self.r);
+    /// Compute output plane `z` into `reuse` (a plane the window evicted)
+    /// or a fresh plane, writing every cell.
+    fn emit(&mut self, z: usize, reuse: Option<Vec<T>>) -> Vec<T> {
+        let (nx, ny, r, k) = (self.nx, self.ny, self.r, &self.k);
+        let mut out = reuse.unwrap_or_else(|| vec![T::default(); nx * ny]);
         let lz = z % self.mesh_nz;
-        let z_interior = lz >= r && lz + r < self.mesh_nz;
-        let mut out = Vec::with_capacity(nx * ny);
-        for y in 0..ny {
-            let y_interior = y >= r && y + r < ny;
-            for x in 0..nx {
-                let v = if z_interior && y_interior && x >= r && x + r < nx {
-                    self.k.apply(|dx, dy, dz| {
-                        let plane = self.ring.get((z as i32 + dz) as usize);
-                        plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
-                    })
-                } else {
-                    self.k.on_boundary(self.ring.get(z)[y * nx + x])
-                };
-                out.push(v);
+        if lz >= r && lz + r < self.mesh_nz {
+            let planes = self.ring.window(z - r, 2 * r + 1);
+            let center = &planes[r];
+            for y in 0..ny {
+                let y_interior = y >= r && y + r < ny;
+                for x in 0..nx {
+                    out[y * nx + x] = if y_interior && x >= r && x + r < nx {
+                        k.apply(|dx, dy, dz| {
+                            let plane = &planes[(dz + r as i32) as usize];
+                            plane[((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize]
+                        })
+                    } else {
+                        k.on_boundary(center[y * nx + x])
+                    };
+                }
             }
+        } else {
+            write_boundary(&mut out, self.ring.get(z), |c| k.on_boundary(c));
         }
         self.next_out = z + 1;
         out
@@ -230,13 +262,9 @@ impl<T: Element, K: StencilOp3D<T>> StageProcessor3D<T, K> {
     pub fn push_plane(&mut self, plane: Vec<T>) -> Option<Vec<T>> {
         assert_eq!(plane.len(), self.nx * self.ny, "plane size mismatch");
         assert!(self.ring.pushed() < self.stream_planes, "stream overrun");
-        self.ring.push(plane);
+        let evicted = self.ring.push(plane);
         let j = self.ring.pushed() - 1;
-        if j >= self.r {
-            Some(self.emit(j - self.r))
-        } else {
-            None
-        }
+        (j >= self.r).then(|| self.emit(j - self.r, evicted))
     }
 
     /// Drain the trailing `r` planes.
@@ -244,7 +272,7 @@ impl<T: Element, K: StencilOp3D<T>> StageProcessor3D<T, K> {
         assert_eq!(self.ring.pushed(), self.stream_planes, "stream incomplete");
         let mut out = Vec::new();
         while self.next_out < self.stream_planes {
-            out.push(self.emit(self.next_out));
+            out.push(self.emit(self.next_out, None));
         }
         out
     }
@@ -252,6 +280,16 @@ impl<T: Element, K: StencilOp3D<T>> StageProcessor3D<T, K> {
     /// Planes currently held in the window buffer.
     pub fn window_fill(&self) -> usize {
         self.ring.resident()
+    }
+}
+
+/// Write `on_boundary` of every cell of `src` into `out` — a whole
+/// boundary row or plane, or a boundary margin of one.
+#[inline]
+pub(crate) fn write_boundary<T: Copy>(out: &mut [T], src: &[T], on_boundary: impl Fn(T) -> T) {
+    debug_assert_eq!(out.len(), src.len());
+    for (o, c) in out.iter_mut().zip(src) {
+        *o = on_boundary(*c);
     }
 }
 
@@ -760,11 +798,15 @@ mod tests {
     fn ring_buffer_eviction_and_access() {
         let mut r = RingBuffer::<f32>::new(3);
         for i in 0..5 {
-            r.push(vec![i as f32]);
+            // Once full, each push hands back the unit it evicts.
+            let evicted = r.push(vec![i as f32]);
+            assert_eq!(evicted, (i >= 3).then(|| vec![(i - 3) as f32]));
         }
         assert_eq!(r.pushed(), 5);
         assert_eq!(r.get(2), &[2.0]);
         assert_eq!(r.get(4), &[4.0]);
+        assert_eq!(r.window(2, 3), &[vec![2.0], vec![3.0], vec![4.0]]);
+        assert_eq!(r.window(3, 1), &[vec![3.0]]);
     }
 
     #[test]

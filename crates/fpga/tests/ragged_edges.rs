@@ -12,18 +12,22 @@
 
 use sf_fpga::fast::{FastStageProcessor2D, FastStageProcessor3D};
 use sf_fpga::window::{StageProcessor2D, StageProcessor3D};
-use sf_kernels::{LaneOp2D, LaneOp3D, Poisson2D, StarStencil2D, StarStencil3D};
+use sf_kernels::{reference, LaneOp2D, LaneOp3D, Poisson2D, StarStencil2D, StarStencil3D};
 use sf_mesh::{norms, Mesh2D, Mesh3D};
 use sf_simd::LANES;
 
 /// Stream `meshes` random 2D meshes through a scalar and a fast stage and
 /// demand bit-identical rows at every step (incremental emissions, drain,
-/// and window-fill gauge alike).
+/// and window-fill gauge alike), and each mesh of the reassembled stream
+/// bit-identical to one golden-reference step. Both processors reuse the
+/// rows their windows evict, so their agreement alone would not show a
+/// stale cell; the reference does.
 fn conform_2d<K: LaneOp2D<f32> + Clone>(k: K, nx: usize, ny: usize, meshes: usize, seed: u64) {
     let stream_rows = ny * meshes;
     let mut scalar = StageProcessor2D::new(k.clone(), nx, stream_rows, ny);
-    let mut fast = FastStageProcessor2D::new(k, nx, stream_rows, ny);
+    let mut fast = FastStageProcessor2D::new(k.clone(), nx, stream_rows, ny);
     let tag = format!("{nx}x{ny} x{meshes} meshes");
+    let (mut inputs, mut stream) = (Vec::new(), Vec::new());
     for m in 0..meshes {
         let mesh = Mesh2D::<f32>::random(nx, ny, seed + m as u64, -1.0, 1.0);
         for j in 0..ny {
@@ -34,8 +38,10 @@ fn conform_2d<K: LaneOp2D<f32> + Clone>(k: K, nx: usize, ny: usize, meshes: usiz
             if let (Some(a), Some(b)) = (&a, &b) {
                 assert!(norms::bit_equal(a, b), "row differs mid-stream ({tag})");
             }
+            stream.extend(b.into_iter().flatten());
             assert_eq!(scalar.window_fill(), fast.window_fill(), "window fill ({tag})");
         }
+        inputs.push(mesh);
     }
     let da = scalar.finish();
     let db = fast.finish();
@@ -43,9 +49,19 @@ fn conform_2d<K: LaneOp2D<f32> + Clone>(k: K, nx: usize, ny: usize, meshes: usiz
     for (a, b) in da.iter().zip(db.iter()) {
         assert!(norms::bit_equal(a, b), "drained row differs ({tag})");
     }
+    stream.extend(db.into_iter().flatten());
+    assert_eq!(stream.len(), nx * ny * meshes, "stream length ({tag})");
+    for (m, (got, mesh)) in stream.chunks(nx * ny).zip(&inputs).enumerate() {
+        let expect = reference::step_2d(&k, mesh);
+        assert!(
+            norms::bit_equal(got, expect.as_slice()),
+            "mesh {m} differs from reference ({tag})"
+        );
+    }
 }
 
-/// 3D counterpart of [`conform_2d`]: planes in, planes out.
+/// 3D counterpart of [`conform_2d`]: planes in, planes out, each mesh
+/// checked against one golden-reference step.
 fn conform_3d<K: LaneOp3D<f32> + Clone>(
     k: K,
     nx: usize,
@@ -56,8 +72,9 @@ fn conform_3d<K: LaneOp3D<f32> + Clone>(
 ) {
     let stream_planes = nz * meshes;
     let mut scalar = StageProcessor3D::new(k.clone(), nx, ny, stream_planes, nz);
-    let mut fast = FastStageProcessor3D::new(k, nx, ny, stream_planes, nz);
+    let mut fast = FastStageProcessor3D::new(k.clone(), nx, ny, stream_planes, nz);
     let tag = format!("{nx}x{ny}x{nz} x{meshes} meshes");
+    let (mut inputs, mut stream) = (Vec::new(), Vec::new());
     for m in 0..meshes {
         let mesh = Mesh3D::<f32>::random(nx, ny, nz, seed + m as u64, -1.0, 1.0);
         for zp in 0..nz {
@@ -68,14 +85,25 @@ fn conform_3d<K: LaneOp3D<f32> + Clone>(
             if let (Some(a), Some(b)) = (&a, &b) {
                 assert!(norms::bit_equal(a, b), "plane differs mid-stream ({tag})");
             }
+            stream.extend(b.into_iter().flatten());
             assert_eq!(scalar.window_fill(), fast.window_fill(), "window fill ({tag})");
         }
+        inputs.push(mesh);
     }
     let da = scalar.finish();
     let db = fast.finish();
     assert_eq!(da.len(), db.len(), "drain length ({tag})");
     for (a, b) in da.iter().zip(db.iter()) {
         assert!(norms::bit_equal(a, b), "drained plane differs ({tag})");
+    }
+    stream.extend(db.into_iter().flatten());
+    assert_eq!(stream.len(), nx * ny * nz * meshes, "stream length ({tag})");
+    for (m, (got, mesh)) in stream.chunks(nx * ny * nz).zip(&inputs).enumerate() {
+        let expect = reference::step_3d(&k, mesh);
+        assert!(
+            norms::bit_equal(got, expect.as_slice()),
+            "mesh {m} differs from reference ({tag})"
+        );
     }
 }
 
@@ -166,6 +194,37 @@ fn multi_mesh_3d_stream_reenters_boundaries_at_seams() {
     use sf_kernels::Jacobi3D;
     conform_3d(Jacobi3D::smoothing(), LANES + 2, 6, 4, 3, 209);
     conform_3d(star3_r2(), LANES + 1, 7, 6, 2, 210);
+}
+
+#[test]
+fn degenerate_2d_shapes_on_reused_rows() {
+    // Enough rows over at least 2 meshes that every stage reuses evicted
+    // rows (from row 2r+1 on) when the degenerate branches run: nx ≤ 2r
+    // (no interior column) and ny ≤ 2r (every row a boundary row).
+    conform_2d(Poisson2D, 2, 9, 2, 117); // nx == 2r
+    conform_2d(Poisson2D, 1, 5, 3, 118); // nx < r
+    conform_2d(Poisson2D, LANES + 3, 2, 3, 119); // ny == 2r
+    conform_2d(Poisson2D, 2, 2, 4, 120); // both
+    conform_2d(star_r2(), 4, 8, 2, 121); // nx == 2r
+    conform_2d(star_r2(), 3, 7, 2, 122); // r < nx < 2r
+    conform_2d(star_r2(), 2 * LANES + 1, 4, 3, 123); // ny == 2r
+    conform_2d(star_r2(), LANES, 3, 4, 124); // r < ny < 2r
+}
+
+#[test]
+fn degenerate_3d_shapes_on_reused_planes() {
+    // As in 2D, with 2r+2 or more planes over at least 2 meshes: no
+    // interior column (nx ≤ 2r), no interior row (ny ≤ 2r), and
+    // all-boundary planes (nz ≤ 2r).
+    use sf_kernels::Jacobi3D;
+    let k = Jacobi3D::smoothing();
+    conform_3d(k, 2, 6, 4, 3, 211); // nx == 2r
+    conform_3d(k, LANES + 2, 2, 5, 2, 212); // ny == 2r
+    conform_3d(k, LANES + 1, 5, 2, 3, 213); // nz == 2r: all-boundary planes
+    conform_3d(k, 1, 1, 2, 4, 214); // every dimension degenerate
+    conform_3d(star3_r2(), 3, 7, 6, 2, 215); // r < nx < 2r
+    conform_3d(star3_r2(), LANES + 3, 4, 6, 2, 216); // ny == 2r
+    conform_3d(star3_r2(), LANES + 1, 6, 3, 3, 217); // r < nz < 2r
 }
 
 /// Executor-level ragged check: the public fast entry point agrees with the
