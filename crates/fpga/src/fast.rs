@@ -13,10 +13,14 @@
 //! by side (see [`sf_kernels::lanes`]). The kernel reads its neighbourhood
 //! one component at a time through `LaneElement::gather_lane`, so a
 //! many-component cell loads only the components the update uses rather
-//! than transposing whole cells. Boundary cells and the ragged tail
-//! of each row go through the kernel's scalar `apply`/`on_boundary`
-//! methods. The result is bit-identical to the scalar executors (and hence
-//! to the golden reference) for every mesh shape, batch size and stencil.
+//! than transposing whole cells. Boundary cells go through the kernel's
+//! `on_boundary`; a row interior at least [`LANES`] wide goes entirely in
+//! packs, the last pack moved back to end at the interior's edge so it
+//! overlaps its predecessor (a lane computes only its own cell, so a cell
+//! written twice gets the same bits both times), and only an interior
+//! narrower than one pack goes through the scalar `apply`. The result is
+//! bit-identical to the scalar executors (and hence to the golden
+//! reference) for every mesh shape, batch size and stencil.
 //!
 //! # What is shared, what is swapped
 //!
@@ -35,9 +39,13 @@
 //! through them on [`ScalarEngine`](crate::window::ScalarEngine).
 //!
 //! Iteration is row-blocked: each emitted row (2D) or row-of-plane (3D) is
-//! written in place, left boundary → lane packs → scalar epilogue → right
-//! boundary, into the unit the window just evicted (see
-//! [`crate::window`]), touching each cache line once per stencil row.
+//! written in place, left boundary → lane packs → right boundary, into the
+//! unit the window just evicted (see [`crate::window`]), touching each
+//! cache line once per stencil row. The radius comes from the kernel's
+//! `radius()` at every use rather than from a cached field, so for the
+//! paper's kernels it is a constant and every window index and neighbour
+//! offset folds; a neighbour read is a per-row base plus an `isize` offset
+//! with one range check per load.
 
 pub use crate::exec2d::simulate_2d_exec;
 pub use crate::exec3d::simulate_3d_exec;
@@ -65,7 +73,6 @@ pub struct FastStageProcessor2D<T: LaneElement, K: LaneOp2D<T>> {
     stream_rows: usize,
     /// Rows per independent mesh in the stream (seam period).
     mesh_ny: usize,
-    r: usize,
     ring: RingBuffer<T>,
     next_out: usize,
 }
@@ -81,7 +88,6 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
             nx,
             stream_rows,
             mesh_ny,
-            r,
             ring: RingBuffer::new(2 * r + 1),
             next_out: 0,
         }
@@ -92,25 +98,23 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
     /// fresh row. Every cell is written, since a reused row holds a stale
     /// unit.
     fn emit(&mut self, y: usize, reuse: Option<Vec<T>>) -> Vec<T> {
-        let (nx, r, k) = (self.nx, self.r, &self.k);
+        let (nx, k) = (self.nx, &self.k);
+        let r = k.radius();
         let mut out = reuse.unwrap_or_else(|| vec![T::default(); nx]);
         let ly = y % self.mesh_ny;
         if ly >= r && ly + r < self.mesh_ny {
             // Interior ly ≥ r implies y ≥ r, so the window rows y−r..=y+r
             // are all resident; borrow them once for the whole row.
             let rows = self.ring.window(y - r, 2 * r + 1);
-            let row = move |dy: i32| &rows[(dy + r as i32) as usize];
+            let row = move |dy: i32| &rows[r.wrapping_add_signed(dy as isize)][..];
+            let idx = move |x: usize, dx: i32| x.wrapping_add_signed(dx as isize);
             write_row(
                 &mut out,
                 &rows[r],
                 r,
                 |c| k.on_boundary(c),
-                |x| {
-                    k.apply_lanes(&move |dx, dy, c| {
-                        T::gather_lane(row(dy), (x as i32 + dx) as usize, c)
-                    })
-                },
-                |x| k.apply(move |dx, dy| row(dy)[(x as i32 + dx) as usize]),
+                |x| k.apply_lanes(&move |dx, dy, c| T::gather_lane(row(dy), idx(x, dx), c)),
+                |x| k.apply(move |dx, dy| row(dy)[idx(x, dx)]),
             );
         } else {
             // Boundary row of its mesh: every cell is a boundary cell.
@@ -126,8 +130,8 @@ impl<T: LaneElement, K: LaneOp2D<T>> FastStageProcessor2D<T, K> {
         assert_eq!(row.len(), self.nx, "row width mismatch");
         assert!(self.ring.pushed() < self.stream_rows, "stream overrun");
         let evicted = self.ring.push(row);
-        let j = self.ring.pushed() - 1;
-        (j >= self.r).then(|| self.emit(j - self.r, evicted))
+        let (j, r) = (self.ring.pushed() - 1, self.k.radius());
+        (j >= r).then(|| self.emit(j - r, evicted))
     }
 
     /// After the last input row, drain the trailing `r` output rows.
@@ -156,7 +160,6 @@ pub struct FastStageProcessor3D<T: LaneElement, K: LaneOp3D<T>> {
     stream_planes: usize,
     /// Planes per independent mesh in the stream (seam period).
     mesh_nz: usize,
-    r: usize,
     ring: RingBuffer<T>,
     next_out: usize,
 }
@@ -173,7 +176,6 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
             ny,
             stream_planes,
             mesh_nz,
-            r,
             ring: RingBuffer::new(2 * r + 1),
             next_out: 0,
         }
@@ -183,14 +185,16 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
     /// into `reuse` (a plane the window evicted) or a fresh plane, writing
     /// every cell.
     fn emit(&mut self, z: usize, reuse: Option<Vec<T>>) -> Vec<T> {
-        let (nx, ny, r, k) = (self.nx, self.ny, self.r, &self.k);
+        let (nx, ny, k) = (self.nx, self.ny, &self.k);
+        let r = k.radius();
         let mut out = reuse.unwrap_or_else(|| vec![T::default(); nx * ny]);
         let lz = z % self.mesh_nz;
         if lz >= r && lz + r < self.mesh_nz {
             let planes = self.ring.window(z - r, 2 * r + 1);
             // The accessors capture by value, so a neighbour read does not
             // chase references through nested closure environments.
-            let plane = move |dz: i32| &planes[(dz + r as i32) as usize];
+            let plane = move |dz: i32| &planes[r.wrapping_add_signed(dz as isize)][..];
+            let stride = nx as isize;
             for y in 0..ny {
                 let row_out = &mut out[y * nx..(y + 1) * nx];
                 let row_center = &planes[r][y * nx..(y + 1) * nx];
@@ -199,7 +203,7 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
                     continue;
                 }
                 let idx = move |x: usize, dx: i32, dy: i32| {
-                    ((y as i32 + dy) as usize) * nx + (x as i32 + dx) as usize
+                    (y * nx + x).wrapping_add_signed(dy as isize * stride + dx as isize)
                 };
                 write_row(
                     row_out,
@@ -226,8 +230,8 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
         assert_eq!(plane.len(), self.nx * self.ny, "plane size mismatch");
         assert!(self.ring.pushed() < self.stream_planes, "stream overrun");
         let evicted = self.ring.push(plane);
-        let j = self.ring.pushed() - 1;
-        (j >= self.r).then(|| self.emit(j - self.r, evicted))
+        let (j, r) = (self.ring.pushed() - 1, self.k.radius());
+        (j >= r).then(|| self.emit(j - r, evicted))
     }
 
     /// Drain the trailing `r` planes.
@@ -247,9 +251,12 @@ impl<T: LaneElement, K: LaneOp3D<T>> FastStageProcessor3D<T, K> {
 }
 
 /// Write one output row of an interior row in place: the left boundary
-/// margin, the interior in lane packs (`pack(x)` computes the [`LANES`]
-/// cells from `x`), the ragged tail cell by cell (`cell(x)`), then the
-/// right boundary margin. Covers every cell of `out`, also when the row is
+/// margin, the interior, then the right boundary margin. An interior of
+/// at least [`LANES`] cells goes in lane packs only (`pack(x)` computes
+/// the cells `x..x + LANES`): they start at `r`, and the last one starts
+/// at `hi − LANES` (`hi = nx − r`), overlapping the one before it unless
+/// the interior is a whole number of packs. A narrower interior goes cell
+/// by cell (`cell(x)`). Covers every cell of `out`, also when the row is
 /// narrower than `2r`.
 #[inline(always)]
 fn write_row<T: LaneElement>(
@@ -263,20 +270,28 @@ fn write_row<T: LaneElement>(
     let nx = out.len();
     let (lo, hi) = (r.min(nx), nx.saturating_sub(r));
     write_boundary(&mut out[..lo], &center[..lo], &on_boundary);
-    let mut x = r;
-    while x + LANES <= hi {
-        // Scatter into a fixed-size stack buffer, then copy the run in one
-        // go: a scatter straight into `out` would bounds-check every lane
-        // of every component.
-        let mut buf = [T::default(); LANES];
-        T::scatter(pack(x), &mut buf, 0);
-        out[x..x + LANES].copy_from_slice(&buf);
-        x += LANES;
-    }
-    // Scalar epilogue for the ragged tail (hi − x < LANES cells).
-    while x < hi {
-        out[x] = cell(x);
-        x += 1;
+    if hi >= lo + LANES {
+        // Lane packs from `lo`; the last one is moved back to end at `hi`,
+        // overlapping its predecessor. Each lane computes only its own
+        // cell, so a cell written twice gets the same bits both times.
+        // `pack` keeps a single call site: a second one stops LLVM from
+        // vectorizing the kernel body.
+        let mut x = lo;
+        while x < hi {
+            let at = x.min(hi - LANES);
+            // Scatter into a fixed-size stack buffer, then copy the run in
+            // one go: a scatter straight into `out` would bounds-check
+            // every lane of every component.
+            let mut buf = [T::default(); LANES];
+            T::scatter(pack(at), &mut buf, 0);
+            out[at..at + LANES].copy_from_slice(&buf);
+            x = at + LANES;
+        }
+    } else {
+        // An interior narrower than one pack goes cell by cell.
+        for (x, o) in out.iter_mut().enumerate().take(hi).skip(lo) {
+            *o = cell(x);
+        }
     }
     let right = hi.max(r).min(nx);
     write_boundary(&mut out[right..], &center[right..], on_boundary);
@@ -435,8 +450,8 @@ mod tests {
 
     #[test]
     fn fast_2d_bit_exact_vs_scalar_and_reference() {
-        // 40 % 8 == 0 exercises full-lane rows; interior width 38 leaves a
-        // ragged tail of 6 cells for the scalar epilogue.
+        // 40 % 8 == 0 exercises full-lane rows; interior width 38 ends in
+        // a pack that overlaps the one before it by 2 cells.
         let m = Mesh2D::<f32>::random(40, 24, 7, -1.0, 1.0);
         let wl = Workload::D2 { nx: 40, ny: 24, batch: 1 };
         let ds = synthesize(
@@ -545,6 +560,62 @@ mod tests {
         for e in [ExecEngine::Scalar, ExecEngine::Fast] {
             let t = traces(|r| drop(simulate_3d_exec(e, &dev(), &ds, &ks, &batch, 6, r)), &ds);
             assert_eq!(t, scalar, "3D traces differ on {e}");
+        }
+    }
+
+    #[test]
+    fn write_row_covers_every_cell_with_packs_inside_the_interior() {
+        // Interior cell x is worth x (from a pack lane or from `cell`),
+        // boundary cell x is worth `on_boundary` of its centre value x, so
+        // a cell written by the wrong source shows up as a wrong value.
+        let boundary = |v: f32| 1000.0 + v;
+        for r in 0..=4 {
+            for nx in 1..=3 * LANES + 2 * r {
+                let centre: Vec<f32> = (0..nx).map(|x| x as f32).collect();
+                let (lo, hi) = (r.min(nx), nx.saturating_sub(r));
+                let packs = std::cell::RefCell::new(Vec::new());
+                let cells = std::cell::RefCell::new(Vec::new());
+                let boundary_calls = std::cell::RefCell::new(Vec::new());
+                let mut out = vec![f32::NAN; nx];
+                write_row(
+                    &mut out,
+                    &centre,
+                    r,
+                    |v| {
+                        boundary_calls.borrow_mut().push(v as usize);
+                        boundary(v)
+                    },
+                    |x| {
+                        packs.borrow_mut().push(x);
+                        sf_simd::F32xL(std::array::from_fn(|i| (x + i) as f32))
+                    },
+                    |x| {
+                        cells.borrow_mut().push(x);
+                        x as f32
+                    },
+                );
+                let case = format!("nx {nx} r {r}");
+                for (x, &v) in out.iter().enumerate() {
+                    let want = if (lo..hi).contains(&x) { x as f32 } else { boundary(x as f32) };
+                    assert_eq!(v, want, "{case}: cell {x}");
+                }
+                let mut called = boundary_calls.into_inner();
+                called.sort_unstable();
+                let edges: Vec<usize> = (0..nx).filter(|x| !(lo..hi).contains(x)).collect();
+                assert_eq!(called, edges, "{case}: on_boundary calls");
+                let (packs, cells) = (packs.into_inner(), cells.into_inner());
+                if hi.saturating_sub(lo) >= LANES {
+                    assert!(cells.is_empty(), "{case}: scalar cells {cells:?}");
+                    assert_eq!(packs.len(), (hi - lo).div_ceil(LANES), "{case}: pack count");
+                    for &x in &packs {
+                        assert!(x >= r && x + LANES <= hi, "{case}: pack at {x}");
+                    }
+                    assert_eq!(packs.last(), Some(&(hi - LANES)), "{case}: last pack");
+                } else {
+                    assert!(packs.is_empty(), "{case}: packs {packs:?}");
+                    assert_eq!(cells, (lo..hi).collect::<Vec<_>>(), "{case}: scalar cells");
+                }
+            }
         }
     }
 

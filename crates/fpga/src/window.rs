@@ -631,9 +631,12 @@ pub fn pass_chain<K>(stages_per_iter: &[K], p_eff: usize) -> impl Iterator<Item 
 /// The one pass loop: stream the flat state `input` (`unit_len` cells per
 /// unit) through one chain of `make_stage` stages per entry of `passes`,
 /// each pass starting from the previous pass's output, and return the
-/// final state. The first pass records into `rec` at `at`; later passes
-/// stream untraced, since the schedule repeats identically every pass.
-/// With `faults`, a watchdog trip stops the loop and stays in `faults`.
+/// final state. The input is copied into units once and the final units
+/// are joined once: between passes the units move on by value. The first
+/// pass records into `rec` at `at`; later passes stream untraced, since
+/// the schedule repeats identically every pass. With `faults`, a watchdog
+/// trip stops the loop and stays in `faults`, and the returned state is
+/// incomplete (see [`ChainFaults::result`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_passes<T: Element, K, S: Stage<T>>(
     input: &[T],
@@ -646,20 +649,18 @@ pub fn run_passes<T: Element, K, S: Stage<T>>(
     mut faults: Option<&mut ChainFaults<'_>>,
 ) -> Vec<T> {
     let stream_units = input.len() / unit_len;
-    let mut state: Option<Vec<T>> = None;
+    let mut units: Vec<Vec<T>> = input.chunks(unit_len).map(<[T]>::to_vec).collect();
     let mut off = Recorder::disabled();
     for (n, &p_eff) in passes.iter().enumerate() {
         let chain = pass_chain(stages_per_iter, p_eff).map(&make_stage).collect();
-        let src = state.as_deref().unwrap_or(input);
         let pass_rec = if n == 0 { &mut *rec } else { &mut off };
-        let units = src.chunks(unit_len).map(<[T]>::to_vec);
-        let out = run_chain(chain, stream_units, units, pass_rec, at, faults.as_deref_mut());
+        let feed = units.into_iter();
+        units = run_chain(chain, stream_units, feed, pass_rec, at, faults.as_deref_mut());
         if faults.as_ref().is_some_and(|f| f.trip.is_some()) {
             break;
         }
-        state = Some(out.concat());
     }
-    state.unwrap_or_else(|| input.to_vec())
+    units.concat()
 }
 
 /// Stream a row iterator through a chain of scalar 2D stages, untraced.

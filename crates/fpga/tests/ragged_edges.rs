@@ -1,10 +1,11 @@
 //! Ragged-edge conformance for the lane-parallel fast path.
 //!
-//! The fast stage processors advance `sf_simd::LANES` cells per step and
-//! fall back to a scalar epilogue for the ragged tail of each row, and to
+//! The fast stage processors advance `sf_simd::LANES` cells per step, end
+//! each row interior with a pack that overlaps the one before it, fall
+//! back to scalar cells for interiors narrower than `LANES`, and to
 //! whole-row/plane scalar evaluation on mesh boundaries. These tests pin
-//! the stage-level contract on exactly the shapes where the epilogue and
-//! boundary splits carry all the weight: widths that are not a multiple of
+//! the stage-level contract on exactly the shapes where the overlap,
+//! scalar and boundary splits carry all the weight: widths that are not a multiple of
 //! `LANES`, widths smaller than `LANES`, 1-wide and 1-tall degenerate
 //! meshes, and multi-mesh streams whose seams force boundary re-entry —
 //! in 2D and 3D. Every emitted row/plane must be bit-identical to the

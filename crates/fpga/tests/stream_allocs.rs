@@ -1,11 +1,12 @@
-//! Deterministic allocation counts of one streamed pass.
+//! Deterministic allocation counts of streamed passes.
 //!
 //! The window stages reuse the unit their window evicts as the storage of
-//! their next output unit, so a pass allocates its input units, a few units
-//! per stage while each window fills and drains, and the reassembled state
-//! — not one unit per stage per streamed unit. A counting global allocator
-//! pins that on every engine. This file holds a single test so that no
-//! other test allocates while it counts.
+//! their next output unit, and each pass hands its output units to the
+//! next by value, so a run allocates its input units once, a few units per
+//! stage while each window fills and drains, and the reassembled state
+//! once — not one unit per stage per streamed unit, nor a state per pass.
+//! A counting global allocator pins that on every engine. This file holds
+//! a single test so that no other test allocates while it counts.
 
 use sf_fpga::fast::ExecEngine;
 use sf_fpga::window::{run_passes, Engine2D, Engine3D, ScalarEngine, Stamps};
@@ -69,17 +70,18 @@ fn counted(f: impl FnOnce() -> Vec<f32>) -> Counted {
     Counted { state, allocs: ALLOCS.load(Relaxed) - a0, bytes: BYTES.load(Relaxed) - b0 }
 }
 
-/// One counted pass of `mesh` through `stages` Jacobi stages of `engine`.
-fn jacobi_pass<E: Engine3D<f32, Jacobi3D>>(
+/// Counted passes of `mesh` through Jacobi stages of `engine`, `passes[i]`
+/// stages in pass `i`.
+fn jacobi_passes<E: Engine3D<f32, Jacobi3D>>(
     engine: E,
     mesh: &Mesh3D<f32>,
-    stages: usize,
+    passes: &[usize],
 ) -> Counted {
     let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
     let make = |k: &Jacobi3D| engine.stage(k, nx, ny, nz, nz);
     let (rec, at) = (&mut Recorder::disabled(), Stamps::default());
     let ks = [Jacobi3D::smoothing()];
-    counted(|| run_passes(mesh.as_slice(), nx * ny, &[stages], &ks, make, rec, at, None))
+    counted(|| run_passes(mesh.as_slice(), nx * ny, passes, &ks, make, rec, at, None))
 }
 
 /// One counted pass of `mesh` through `stages` Poisson stages of `engine`.
@@ -94,10 +96,10 @@ fn poisson_pass<E: Engine2D<f32, Poisson2D>>(
     counted(|| run_passes(mesh.as_slice(), nx, &[stages], &[Poisson2D], make, rec, at, None))
 }
 
-/// Check each engine's pass against the steady-state bounds — one
+/// Check each engine's run against the steady-state bounds — one
 /// allocation per input unit plus a few per stage; in bytes the input
-/// copy, the output state and a few units per stage — and that all
-/// engines agree.
+/// copy, the output state and a few units per stage, however many passes
+/// the stages are split into — and that all engines agree.
 fn check(what: &str, runs: [(&str, Counted); 3], unit_len: usize, stages: usize) {
     let state_bytes = std::mem::size_of_val(runs[0].1.state.as_slice());
     let unit_bytes = unit_len * std::mem::size_of::<f32>();
@@ -120,11 +122,20 @@ fn check(what: &str, runs: [(&str, Counted); 3], unit_len: usize, stages: usize)
 fn one_pass_allocates_per_unit_not_per_stage_and_unit() {
     let m = Mesh3D::<f32>::random(64, 64, 64, 7, -1.0, 1.0);
     let runs = [
-        ("fast", jacobi_pass(ExecEngine::Fast, &m, 24)),
-        ("scalar", jacobi_pass(ExecEngine::Scalar, &m, 24)),
-        ("ScalarEngine", jacobi_pass(ScalarEngine, &m, 24)),
+        ("fast", jacobi_passes(ExecEngine::Fast, &m, &[24])),
+        ("scalar", jacobi_passes(ExecEngine::Scalar, &m, &[24])),
+        ("ScalarEngine", jacobi_passes(ScalarEngine, &m, &[24])),
     ];
     check("jacobi 64³ x24 stages", runs, 64 * 64, 24);
+
+    // Later passes take the previous pass's units by value: the state is
+    // copied in once and joined once, not once per pass.
+    let runs = [
+        ("fast", jacobi_passes(ExecEngine::Fast, &m, &[6; 4])),
+        ("scalar", jacobi_passes(ExecEngine::Scalar, &m, &[6; 4])),
+        ("ScalarEngine", jacobi_passes(ScalarEngine, &m, &[6; 4])),
+    ];
+    check("jacobi 64³ 4 passes x6 stages", runs, 64 * 64, 24);
 
     let m = Mesh2D::<f32>::random(256, 256, 11, -1.0, 1.0);
     let runs = [

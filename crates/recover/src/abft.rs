@@ -38,29 +38,38 @@ pub struct AbftSignature {
 impl AbftSignature {
     /// Compute the signature of a cell slice organized as stream units of
     /// `unit_len` cells (rows for 2D, planes for 3D). All element lanes
-    /// are accumulated in `f64`.
+    /// are accumulated in `f64`, cell by cell in storage order.
     pub fn compute<T: Element>(cells: &[T], unit_len: usize) -> AbftSignature {
         let unit_len = unit_len.max(1);
         let n_units = cells.len().div_ceil(unit_len).max(1);
         let n_row_blocks = ABFT_BLOCKS.min(n_units).max(1);
         let n_col_blocks = ABFT_BLOCKS.min(unit_len).max(1);
+        // Column block `b` holds the cells `w` of a unit with
+        // `w · n_col_blocks / unit_len == b`, the run from `col_start[b]`
+        // to `col_start[b + 1]`, so no cell needs a division.
+        let mut col_start = [unit_len; ABFT_BLOCKS + 1];
+        for (b, start) in col_start.iter_mut().enumerate().take(n_col_blocks) {
+            *start = (b * unit_len).div_ceil(n_col_blocks);
+        }
         let mut row_sums = vec![0.0f64; n_row_blocks];
         let mut col_sums = vec![0.0f64; n_col_blocks];
         let mut total = 0.0f64;
         let mut bit_fold = 0u64;
-        for (i, c) in cells.iter().enumerate() {
-            let unit = i / unit_len;
-            let within = i % unit_len;
-            let rb = (unit * n_row_blocks / n_units).min(n_row_blocks - 1);
-            let cb = (within * n_col_blocks / unit_len).min(n_col_blocks - 1);
-            let mut s = 0.0f64;
-            for l in 0..T::LANES {
-                s += f64::from(c.lane(l));
-                bit_fold = bit_fold.wrapping_add(u64::from(c.lane(l).to_bits()));
+        for (unit, unit_cells) in cells.chunks(unit_len).enumerate() {
+            let row = &mut row_sums[(unit * n_row_blocks / n_units).min(n_row_blocks - 1)];
+            for (b, col) in col_sums.iter_mut().enumerate() {
+                let end = col_start[b + 1].min(unit_cells.len());
+                for c in &unit_cells[col_start[b].min(end)..end] {
+                    let mut s = 0.0f64;
+                    for l in 0..T::LANES {
+                        s += f64::from(c.lane(l));
+                        bit_fold = bit_fold.wrapping_add(u64::from(c.lane(l).to_bits()));
+                    }
+                    *row += s;
+                    *col += s;
+                    total += s;
+                }
             }
-            row_sums[rb] += s;
-            col_sums[cb] += s;
-            total += s;
         }
         AbftSignature { row_sums, col_sums, total, bit_fold }
     }
@@ -164,6 +173,76 @@ mod tests {
         let mut bad = cells.clone();
         bad[9].set_lane(1, 5.0);
         assert!(!AbftSignature::compute(&bad, 4).matches(&clean, 0.0));
+    }
+
+    /// The per-cell definition the unit-by-unit walk must reproduce.
+    fn compute_spec<T: Element>(cells: &[T], unit_len: usize) -> AbftSignature {
+        let unit_len = unit_len.max(1);
+        let n_units = cells.len().div_ceil(unit_len).max(1);
+        let n_row_blocks = ABFT_BLOCKS.min(n_units).max(1);
+        let n_col_blocks = ABFT_BLOCKS.min(unit_len).max(1);
+        let mut row_sums = vec![0.0f64; n_row_blocks];
+        let mut col_sums = vec![0.0f64; n_col_blocks];
+        let mut total = 0.0f64;
+        let mut bit_fold = 0u64;
+        for (i, c) in cells.iter().enumerate() {
+            let unit = i / unit_len;
+            let within = i % unit_len;
+            let rb = (unit * n_row_blocks / n_units).min(n_row_blocks - 1);
+            let cb = (within * n_col_blocks / unit_len).min(n_col_blocks - 1);
+            let mut s = 0.0f64;
+            for l in 0..T::LANES {
+                s += f64::from(c.lane(l));
+                bit_fold = bit_fold.wrapping_add(u64::from(c.lane(l).to_bits()));
+            }
+            row_sums[rb] += s;
+            col_sums[cb] += s;
+            total += s;
+        }
+        AbftSignature { row_sums, col_sums, total, bit_fold }
+    }
+
+    /// Bitwise equality of two signatures (`PartialEq` on `f64` equates
+    /// `0.0` with `-0.0`).
+    fn bits(sig: &AbftSignature) -> (Vec<u64>, Vec<u64>, u64, u64) {
+        let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (b(&sig.row_sums), b(&sig.col_sums), sig.total.to_bits(), sig.bit_fold)
+    }
+
+    #[test]
+    fn unit_walk_matches_the_per_cell_definition_bitwise() {
+        // Values of mixed magnitude so that a changed summation order
+        // changes the rounded sums.
+        let value = |i: usize, l: usize| ((i * 7919 + l * 104_729) % 1000) as f32 * 1.37e-3 - 0.6;
+        let scalar: Vec<f32> = (0..1000).map(|i| value(i, 0) * (1 + i % 5) as f32).collect();
+        let vector: Vec<VecN<3>> =
+            (0..300).map(|i| VecN::new([value(i, 0), value(i, 1) * 1e3, value(i, 2)])).collect();
+        // (cells, unit_len): whole units, a ragged last unit, fewer units
+        // than blocks, units narrower than the block count, unit_len 0 and
+        // 1, a single short unit, and no cells at all.
+        let shapes = [
+            (1000, 40),
+            (1000, 33),
+            (999, 100),
+            (100, 10),
+            (37, 5),
+            (64, 1),
+            (5, 0),
+            (7, 64),
+            (0, 8),
+            (1000, 17),
+            (250, 250),
+        ];
+        for &(len, unit_len) in &shapes {
+            let cells = &scalar[..len];
+            let (got, want) =
+                (AbftSignature::compute(cells, unit_len), compute_spec(cells, unit_len));
+            assert_eq!(bits(&got), bits(&want), "f32 len {len} unit_len {unit_len}");
+            let cells = &vector[..len.min(vector.len())];
+            let (got, want) =
+                (AbftSignature::compute(cells, unit_len), compute_spec(cells, unit_len));
+            assert_eq!(bits(&got), bits(&want), "VecN len {} unit_len {unit_len}", cells.len());
+        }
     }
 
     #[test]

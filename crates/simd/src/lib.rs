@@ -91,8 +91,7 @@ elementwise!(Div, div, /);
 
 /// Apply `f` to `src` in [`LANES`]-wide packs, writing into `dst`; the
 /// ragged tail (fewer than [`LANES`] trailing elements) is handled by the
-/// scalar fallback `g`. Exercises the same pack/epilogue split the fast
-/// executors use, packaged for reuse and tests.
+/// scalar fallback `g`.
 ///
 /// # Panics
 /// Panics if `dst` is shorter than `src`.
